@@ -193,18 +193,16 @@ def kernel_library() -> ctypes.CDLL:
 
 def batch_kernel_available() -> bool:
     """Can the batch kernel be used in this process? (Builds on demand.)"""
-    try:
-        kernel_library()
-    except RuntimeError:
-        return False
-    return True
+    return batch_kernel_unavailable_reason() is None
 
 
 def batch_kernel_unavailable_reason() -> Optional[str]:
     """Why the batch kernel cannot be used, or None when it can."""
-    if batch_kernel_available():
-        return None
-    return _load_error
+    try:
+        kernel_library()
+    except RuntimeError as error:
+        return str(error)
+    return None
 
 
 def _cache_fields(cache) -> List[int]:

@@ -120,15 +120,13 @@ def u32_ptr(column) -> "ctypes._Pointer":
 
 def trace_kernel_available() -> bool:
     """Can the C trace walker be used here? (Builds on demand.)"""
-    try:
-        trace_library()
-    except RuntimeError:
-        return False
-    return True
+    return trace_kernel_unavailable_reason() is None
 
 
 def trace_kernel_unavailable_reason() -> Optional[str]:
     """Why the C trace walker cannot be used, or None when it can."""
-    if trace_kernel_available():
-        return None
-    return _load_error
+    try:
+        trace_library()
+    except RuntimeError as error:
+        return str(error)
+    return None

@@ -1,16 +1,17 @@
 """The array-batched pipeline kernel: chunk-fed C engine, walk-exact.
 
-This is the ``batch`` side of the ``--kernel walk|batch`` knob. The
-per-instruction walk in :mod:`repro.cpu.pipeline` stays the reference
-implementation; this module replaces its hot loop with a compiled C
-engine (built lazily by :mod:`repro.cpu._kernel_build`) that consumes
-the trace as structure-of-arrays :class:`~repro.cpu.stream.TraceChunk`
-blocks: the trace generators emit column-backed chunks, so per chunk the
-feed is zero-copy — the chunk's own typed arrays go straight to the
-engine (which copies them into its ring), and the engine runs the cycle
-loop — issue-slot assignment, fetch/mispredict/memory stall attribution,
-FU busy/idle-interval updates, and closed-loop wakeup-stall accounting —
-until it needs the next chunk. Legacy object-backed chunks still work:
+This is the ``batch`` side of the ``--kernel walk|batch`` knob and the
+default engine. The per-instruction walk in :mod:`repro.cpu.pipeline`
+stays the reference implementation; this module replaces its hot loop
+with a compiled C engine (built lazily by :mod:`repro.cpu._kernel_build`)
+that consumes the trace as structure-of-arrays
+:class:`~repro.cpu.stream.TraceChunk` blocks: the trace generators emit
+column-backed chunks, so per chunk the feed is zero-copy — the chunk's
+own typed arrays go straight to the engine (which copies them into its
+ring), and the engine runs the cycle loop — issue-slot assignment,
+fetch/mispredict/memory stall attribution, FU busy/idle-interval
+updates, and closed-loop wakeup-stall accounting — until it needs the
+next chunk. Legacy object-backed chunks still work:
 :meth:`TraceChunk.columns` projects them into arrays on first access,
 which is the only remaining per-instruction Python cost on that path.
 
@@ -38,17 +39,26 @@ so 10M+-instruction traces whose cycle counts pass 2^31 stay exact; the
 regression test at that boundary drives a trace past 2^31 cycles via a
 large memory latency.
 
-Process-wide default plumbing mirrors the streaming knob in
-:mod:`repro.cpu.stream`: the CLIs set a default, the execution engine
-stamps it into jobs shipped to workers, and ``None`` means "use the
-process default, else the walk".
+Default and fallback
+    ``batch`` is the production default whenever the engine builds: the
+    first run compiles it once into the hash-keyed kernel cache (see
+    :mod:`repro.cpu._kernel_build`) and later processes load it from
+    there. The walk is the reference oracle (``--kernel walk``) and the
+    no-compiler fallback; a default run that falls back prints one
+    stderr notice per process naming the reason. The CLIs can pin a
+    process default, the execution engine stamps it into jobs shipped
+    to workers, and ``None`` means "use the process default, else batch
+    when available, else the walk". Every simulation counts the kernel
+    that actually ran (and any fallback reason) in the
+    :func:`repro.obs.metrics.record_engine` counters.
 """
 
 from __future__ import annotations
 
 import ctypes
+import sys
 from array import array
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +80,7 @@ from repro.cpu.pipeline import DeadlockError
 from repro.cpu.sleep import SleepRuntimeSpec, price_stateless_outcomes
 from repro.cpu.stats import FunctionalUnitUsage, SimulationStats
 from repro.cpu.stream import TraceChunk
+from repro.obs.metrics import record_engine
 from repro.util import stagetime
 from repro.util.intervals import IntervalHistogram
 
@@ -83,6 +94,7 @@ __all__ = [
     "check_kernel",
     "get_default_kernel",
     "resolve_kernel",
+    "run_kernel",
     "set_default_kernel",
 ]
 
@@ -110,10 +122,11 @@ _default_kernel: Optional[str] = None
 def set_default_kernel(kernel: Optional[str]) -> None:
     """Set the process-wide kernel used when callers pass None.
 
-    ``None`` restores the built-in default (the walked reference path).
-    Set by the CLIs' ``--kernel`` flag; the execution engine stamps the
-    resolved value into jobs it ships to worker processes, which do not
-    share this state.
+    ``None`` restores the built-in default (batch when the engine
+    builds, else the walk). Set by the CLIs' ``--kernel`` flag; the
+    execution engine stamps a pinned value into jobs it ships to worker
+    processes, which do not share this state (an unpinned job resolves
+    in the worker that runs it).
     """
     global _default_kernel
     if kernel is not None:
@@ -122,23 +135,64 @@ def set_default_kernel(kernel: Optional[str]) -> None:
 
 
 def get_default_kernel() -> Optional[str]:
-    """The process-wide kernel override (None = walk)."""
+    """The process-wide kernel override (None = batch when available)."""
     return _default_kernel
+
+
+_fallback_noticed = False
+
+
+def _resolve(kernel: Optional[str]) -> Tuple[str, Optional[str]]:
+    """The kernel a run uses, plus the reason when the default fell back."""
+    if kernel is not None:
+        return check_kernel(kernel), None
+    if _default_kernel is not None:
+        return _default_kernel, None
+    reason = batch_kernel_unavailable_reason()
+    if reason is None:
+        return KERNEL_BATCH, None
+    global _fallback_noticed
+    if not _fallback_noticed:
+        _fallback_noticed = True
+        print(
+            f"[repro] {reason}; falling back to the walk kernel "
+            "(same results, slower)",
+            file=sys.stderr,
+        )
+    return KERNEL_WALK, reason
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
     """Decide which kernel a run should use.
 
     Explicit requests win; ``None`` consults the process default, then
-    falls back to the walk. Because the two kernels are float-for-float
-    identical (the equivalence gate), this choice affects speed only —
-    never results, and never cache keys.
+    picks batch when the engine builds and the walk otherwise (with a
+    one-per-process stderr notice naming the reason). Loads the engine
+    on first call, never at import. Because the two kernels are
+    float-for-float identical (the equivalence gate), this choice
+    affects speed only — never results, and never cache keys.
     """
-    if kernel is not None:
-        return check_kernel(kernel)
-    if _default_kernel is not None:
-        return _default_kernel
-    return KERNEL_WALK
+    return _resolve(kernel)[0]
+
+
+def run_kernel(kernel: Optional[str]) -> str:
+    """:func:`resolve_kernel` for one simulation, counted as executed.
+
+    Records the resolved kernel (and the fallback reason, if any) in
+    the ``engines.*`` metrics counters that batch reports, ``-v``
+    telemetry, and run manifests read. Raises ``RuntimeError`` when
+    batch was requested explicitly but the engine cannot be built.
+    """
+    resolved, fallback = _resolve(kernel)
+    if resolved == KERNEL_BATCH:
+        reason = batch_kernel_unavailable_reason()
+        if reason is not None:
+            raise RuntimeError(
+                f"kernel 'batch' requested but unavailable: {reason}; "
+                f"use kernel='walk' (the reference path)"
+            )
+    record_engine("kernel", resolved, fallback)
+    return resolved
 
 
 # -- structure-of-arrays chunk decode -------------------------------------------

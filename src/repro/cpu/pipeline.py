@@ -36,8 +36,9 @@ behind the dispatch cursor, so 10M+-instruction runs execute in
 bounded memory with bit-identical results.
 
 This walked model is the *reference* implementation — the ``walk`` side
-of the ``--kernel walk|batch`` knob. :mod:`repro.cpu.kernel` runs the
-same machine as an array-batched C engine, ~10x faster on long traces;
+of the ``--kernel walk|batch`` knob, and the fallback when no C compiler
+is available. :mod:`repro.cpu.kernel` runs the same machine as the
+default array-batched C engine, ~10x faster on long traces;
 the kernel-equivalence gate (``tests/test_kernel_equivalence.py``)
 holds that engine to this one, ``==`` on every statistic. Behavioral
 changes here must therefore land in ``_pipeline_kernel.c`` in the same

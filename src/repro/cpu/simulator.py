@@ -27,8 +27,7 @@ from repro.cpu.config import MachineConfig
 from repro.cpu.kernel import (
     KERNEL_BATCH,
     BatchPipeline,
-    batch_kernel_unavailable_reason,
-    resolve_kernel,
+    run_kernel,
 )
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.sleep import SleepRuntimeSpec
@@ -79,11 +78,12 @@ class Simulator:
     ``kernel`` selects the simulation engine: ``"walk"`` is the
     per-instruction reference pipeline, ``"batch"`` the array-batched C
     kernel of :mod:`repro.cpu.kernel`, and ``None`` defers to the
-    process default (see :func:`repro.cpu.kernel.resolve_kernel`). The
-    kernels are float-for-float identical (the kernel-equivalence CI
-    gate), so — exactly like ``streaming`` — the knob affects speed
-    only, never results or cache keys. The batch kernel always consumes
-    the trace chunk by chunk, so it is bounded-memory regardless of the
+    process default, else batch when the C kernel builds, else the walk
+    (see :func:`repro.cpu.kernel.resolve_kernel`). The kernels are
+    float-for-float identical (the kernel-equivalence CI gate), so —
+    exactly like ``streaming`` — the knob affects speed only, never
+    results or cache keys. The batch kernel always consumes the trace
+    chunk by chunk, so it is bounded-memory regardless of the
     ``streaming`` setting.
     """
 
@@ -122,13 +122,7 @@ class Simulator:
         lists grow with the run).
         """
         total = num_instructions + warmup_instructions
-        if resolve_kernel(self.kernel) == KERNEL_BATCH:
-            reason = batch_kernel_unavailable_reason()
-            if reason is not None:
-                raise RuntimeError(
-                    f"kernel 'batch' requested but unavailable: {reason}; "
-                    f"use kernel='walk' (the reference path)"
-                )
+        if run_kernel(self.kernel) == KERNEL_BATCH:
             stats = BatchPipeline(
                 iter_trace(
                     self.profile,

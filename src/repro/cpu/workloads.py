@@ -19,10 +19,11 @@ dataflow and locality models.
 
 from __future__ import annotations
 
+import functools
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cpu import _trace_build
 from repro.cpu.isa import OpClass
@@ -34,6 +35,7 @@ from repro.cpu.stream import (
     columns_chunk,
 )
 from repro.cpu.trace import TraceInstruction
+from repro.obs.metrics import record_engine
 from repro.util.lookup import unknown_name_message
 from repro.util.rng import DeterministicRng
 
@@ -566,80 +568,78 @@ def _walk_trace(
             current = next_block
 
 
-def _trace_kernel_usable(profile: WorkloadProfile) -> bool:
-    """Should this walk run on the compiled trace walker?
+def _trace_engine(profile: WorkloadProfile) -> Tuple[bool, Optional[str]]:
+    """Should this walk run on the compiled trace walker, and if not, why?
 
-    ``REPRO_TRACE_ENGINE=python`` forces the pure-Python drain (how the
-    equivalence tests compare the two engines). Otherwise the C walker
-    is used whenever it builds and the profile fits its fixed-width
-    assumptions: randbelow spans inside 32 bits, 4-byte ``array``
-    int/uint codes on this platform, and a non-degenerate stream modulus
-    wherever stream accesses can occur (a zero modulus must keep raising
-    in Python, not fault in C).
+    Returns ``(True, None)`` for the C walker. ``REPRO_TRACE_ENGINE=python``
+    forces the pure-Python drain (how the equivalence tests compare the
+    two engines) and is not a fallback. Otherwise the Python drain is a
+    fallback, returned with its reason: the walker did not build, or
+    the profile breaks its fixed-width assumptions — randbelow spans
+    inside 32 bits, 4-byte ``array`` int/uint codes on this platform,
+    and a non-degenerate stream modulus wherever stream accesses can
+    occur (a zero modulus must keep raising in Python, not fault in C).
     """
     if os.environ.get("REPRO_TRACE_ENGINE", "").strip().lower() == "python":
-        return False
+        return False, None
     if array("i").itemsize != 4 or array("I").itemsize != 4:
-        return False
+        return False, "trace kernel unusable: array int codes are not 4 bytes"
     limit = 2**32 - 1
     spans = (
         max(8, profile.stack_bytes) - 8,
         max(8, profile.heap_hot_bytes) - 8,
         max(8, profile.heap_bytes) - 8,
     )
-    if any(span >= limit for span in spans):
-        return False
-    if profile.num_blocks >= 2**31:
-        return False
     if (
-        profile.stream_prob > 0.0
-        and max(profile.stream_stride, profile.stream_bytes) < 1
+        any(span >= limit for span in spans)
+        or profile.num_blocks >= 2**31
+        or (
+            profile.stream_prob > 0.0
+            and max(profile.stream_stride, profile.stream_bytes) < 1
+        )
     ):
-        return False
-    return _trace_build.trace_kernel_available()
+        return False, "trace kernel unusable: profile outside its fixed-width limits"
+    reason = _trace_build.trace_kernel_unavailable_reason()
+    return reason is None, reason
 
 
-def _drain_walk_c(
-    program: _StaticProgram,
-    profile: WorkloadProfile,
-    walk_rng: DeterministicRng,
-    data_rng: DeterministicRng,
-    num_instructions: int,
-    chunk_size: int,
-) -> Iterator[TraceChunk]:
-    """Drain the dynamic walk through the compiled trace walker.
+#: Packed programs kept per process. The nine paper benchmarks fit, so a
+#: suite run builds each static program once; the largest table set is
+#: ~80 KB, which bounds the memo near 1.3 MB.
+_PACKED_MEMO_SIZE = 16
 
-    Packs the static program into flat tables, transplants the walk and
-    data generators' MT19937 states (``Random.getstate()`` — the C side
-    has no seeding logic to diverge), and pulls column-backed chunks
-    straight out of C buffers. Emits exactly the chunks the Python
-    drain would.
+
+@functools.lru_cache(maxsize=_PACKED_MEMO_SIZE, typed=True)
+def _packed_program(profile: WorkloadProfile, seed: int) -> Tuple[array, ...]:
+    """Build (once per process, LRU-bounded) the C walker's static tables.
+
+    Returns every array ``repro_trace_create`` reads that depends only on
+    (profile, seed), in the create call's order: the two config blocks
+    (``cfg_i[0]``, the instruction count, is a placeholder each drain
+    overwrites in its own copy), then the per-block and per-branch
+    tables. Keyed by the whole frozen profile, not its name, so distinct
+    profiles sharing a name never collide. Safe to share across walks:
+    the tables depend only on the structure stream, the walker copies
+    every table on create, and no caller writes them. The mutable
+    :class:`_StaticProgram` itself is never cached — the Python walks
+    mutate its branch state.
     """
-    lib = _trace_build.trace_library()
+    rng = DeterministicRng(seed).child(profile.name, "structure")
+    program = _StaticProgram(profile, rng)
     blocks = program.blocks
     nblocks = len(blocks)
 
-    start_pc = array("q", [b.start_pc for b in blocks])
-    term_pc = array("q", [b.term_pc for b in blocks])
-    terminator = array("B", [b.terminator for b in blocks])
-    call_target = array(
-        "i",
-        [
-            program.call_targets[i] if i < len(program.call_targets) else 0
-            for i in range(nblocks)
-        ],
-    )
-
-    body_off_list: List[int] = []
-    body_len_list: List[int] = []
-    body_ops_list: List[int] = []
+    call_target = [
+        program.call_targets[i] if i < len(program.call_targets) else 0
+        for i in range(nblocks)
+    ]
+    body_off: List[int] = []
+    body_len: List[int] = []
+    body_ops: List[int] = []
     for block in blocks:
-        body_off_list.append(len(body_ops_list))
-        body_len_list.append(len(block.col_ops))
-        body_ops_list += block.col_ops
-    body_off = array("i", body_off_list)
-    body_len = array("i", body_len_list)
-    body_ops = array("B", body_ops_list)
+        body_off.append(len(body_ops))
+        body_len.append(len(block.col_ops))
+        body_ops += block.col_ops
 
     is_loop: List[int] = []
     trip_mean: List[float] = []
@@ -681,7 +681,7 @@ def _drain_walk_c(
         profile.heap_hot_prob,
     ])
     cfg_i = array("q", [
-        num_instructions,
+        0,
         profile.num_blocks,
         max(8, profile.stack_bytes) - 8,
         max(8, profile.heap_hot_bytes) - 8,
@@ -692,22 +692,55 @@ def _drain_walk_c(
         _STREAM_BASE,
         _HEAP_BASE,
     ])
+    return (
+        cfg_f,
+        cfg_i,
+        array("q", [b.start_pc for b in blocks]),
+        array("q", [b.term_pc for b in blocks]),
+        array("B", [b.terminator for b in blocks]),
+        array("i", call_target),
+        array("i", body_off),
+        array("i", body_len),
+        array("B", body_ops),
+        array("B", is_loop),
+        array("d", trip_mean),
+        array("q", fixed),
+        array("d", taken_prob),
+        array("i", target0),
+        array("i", indirect),
+        array("B", has_ind),
+    )
 
+
+def _drain_walk_c(
+    packed: Tuple[array, ...],
+    walk_rng: DeterministicRng,
+    data_rng: DeterministicRng,
+    num_instructions: int,
+    chunk_size: int,
+) -> Iterator[TraceChunk]:
+    """Drain the dynamic walk through the compiled trace walker.
+
+    Hands the walker the packed static tables, transplants the walk and
+    data generators' MT19937 states (``Random.getstate()`` — the C side
+    has no seeding logic to diverge), and pulls column-backed chunks
+    straight out of C buffers sized to the rows still due. Emits
+    exactly the chunks the Python drain would.
+    """
+    lib = _trace_build.trace_library()
+    (
+        cfg_f, cfg_i, start_pc, term_pc, terminator, call_target,
+        body_off, body_len, body_ops, br_is_loop, br_trip_mean, br_fixed,
+        br_taken_prob, br_target, br_indirect, br_has_ind,
+    ) = packed
+    cfg_i = array("q", cfg_i)
+    cfg_i[0] = num_instructions
     # The raw generator states: 624 words + the cursor, per stream.
     mt_walk = array("I", walk_rng._random.getstate()[1])
     mt_data = array("I", data_rng._random.getstate()[1])
 
-    # Freeze the branch tables into typed arrays bound to locals: the
-    # pointer casts do NOT keep their source buffers alive, so every
-    # array must outlive the create call.
-    br_is_loop = array("B", is_loop)
-    br_trip_mean = array("d", trip_mean)
-    br_fixed = array("q", fixed)
-    br_taken_prob = array("d", taken_prob)
-    br_target = array("i", target0)
-    br_indirect = array("i", indirect)
-    br_has_ind = array("B", has_ind)
-
+    # The pointer casts do NOT keep their source buffers alive: every
+    # array above must outlive the create call (the walker copies them).
     f64, i64, i32, u8, u32 = (
         _trace_build.f64_ptr,
         _trace_build.i64_ptr,
@@ -717,7 +750,7 @@ def _drain_walk_c(
     )
     handle = lib.repro_trace_create(
         f64(cfg_f), i64(cfg_i), u32(mt_walk), u32(mt_data),
-        nblocks, i64(start_pc), i64(term_pc),
+        len(start_pc), i64(start_pc), i64(term_pc),
         u8(terminator), i32(call_target),
         i32(body_off), i32(body_len), u8(body_ops), len(body_ops),
         u8(br_is_loop), f64(br_trip_mean),
@@ -727,25 +760,28 @@ def _drain_walk_c(
     )
     if not handle:
         raise MemoryError("trace kernel allocation failed")
+    zero_u8 = array("B", [0])
+    zero_i64 = array("q", [0])
     try:
         emitted = 0
-        while True:
-            op = array("B", bytes(chunk_size))
-            pc = array("q", bytes(8 * chunk_size))
-            dep1 = array("q", bytes(8 * chunk_size))
-            dep2 = array("q", bytes(8 * chunk_size))
-            address = array("q", bytes(8 * chunk_size))
-            taken = array("B", bytes(chunk_size))
-            target = array("q", bytes(8 * chunk_size))
+        while emitted < num_instructions:
+            n = min(chunk_size, num_instructions - emitted)
+            op = zero_u8 * n
+            pc = zero_i64 * n
+            dep1 = zero_i64 * n
+            dep2 = zero_i64 * n
+            address = zero_i64 * n
+            taken = zero_u8 * n
+            target = zero_i64 * n
             rows = lib.repro_trace_fill(
-                handle, chunk_size, u8(op), i64(pc), i64(dep1), i64(dep2),
+                handle, n, u8(op), i64(pc), i64(dep1), i64(dep2),
                 i64(address), u8(taken), i64(target),
             )
             if rows < 0:
                 raise MemoryError("trace kernel ran out of memory")
             if rows == 0:
                 break
-            if rows < chunk_size:
+            if rows < n:
                 op = op[:rows]
                 pc = pc[:rows]
                 dep1 = dep1[:rows]
@@ -757,7 +793,7 @@ def _drain_walk_c(
                 emitted, (op, pc, dep1, dep2, address, taken, target)
             )
             emitted += rows
-            if rows < chunk_size:
+            if rows < n:
                 break
     finally:
         lib.repro_trace_destroy(handle)
@@ -787,22 +823,24 @@ def _walk_trace_columns(
     enforce it, and :func:`_walk_trace` stays as the executable
     reference. Any behavior change lands in both or neither.
     """
-    structure_rng = DeterministicRng(seed).child(profile.name, "structure")
     walk_rng = DeterministicRng(seed).child(profile.name, "walk")
     data_rng = DeterministicRng(seed).child(profile.name, "data")
 
-    program = _StaticProgram(profile, structure_rng)
-
     # The compiled walker (bit-exact CPython-random replay, see
-    # _trace_kernel.c) drains 1-2 orders of magnitude faster; the Python
-    # drain below is its always-available twin. Same chunks either way.
-    if _trace_kernel_usable(profile):
+    # _trace_kernel.c) drains 1-2 orders of magnitude faster, from static
+    # tables built once per (profile, seed); the Python drain below is
+    # its always-available twin. Same chunks either way.
+    use_c, fallback = _trace_engine(profile)
+    record_engine("trace", "c" if use_c else "python", fallback)
+    if use_c:
         yield from _drain_walk_c(
-            program, profile, walk_rng, data_rng, num_instructions,
-            chunk_size,
+            _packed_program(profile, seed), walk_rng, data_rng,
+            num_instructions, chunk_size,
         )
         return
 
+    structure_rng = DeterministicRng(seed).child(profile.name, "structure")
+    program = _StaticProgram(profile, structure_rng)
     blocks = program.blocks
     call_targets = program.call_targets
 

@@ -137,6 +137,15 @@ class BatchReport:
     #: sourced from the :data:`repro.obs.metrics.JOB_SECONDS` histogram
     #: delta. Empty for an all-warm batch. Observability only.
     latency_quantiles: Dict[str, float] = field(default_factory=dict)
+    #: What actually executed this batch's pending jobs: jobs per
+    #: pipeline kernel (``{"batch": 9}``), traces per walker engine
+    #: (``{"c": 9}``), and the distinct fallback reasons — read from the
+    #: ``engines.*`` counters the simulating process bumped, which pool
+    #: and SSH workers relay with their metrics. Empty for an all-warm
+    #: batch. Observability only.
+    kernels: Dict[str, int] = field(default_factory=dict)
+    trace_engines: Dict[str, int] = field(default_factory=dict)
+    fallbacks: List[str] = field(default_factory=list)
 
 
 def _stamp_defaults(job: SimulationJob) -> SimulationJob:
@@ -168,6 +177,13 @@ def _record_telemetry(report: BatchReport, latency_delta: Optional[dict]) -> Non
         setattr(tally, name_, getattr(tally, name_) + getattr(report, name_))
     tally.workers_used = max(tally.workers_used, report.workers_used)
     stagetime.absorb_into(tally.stage_seconds, report.stage_seconds)
+    for into, gained in (
+        (tally.kernels, report.kernels),
+        (tally.trace_engines, report.trace_engines),
+    ):
+        for engine, count in gained.items():
+            into[engine] = into.get(engine, 0) + count
+    tally.fallbacks = sorted(set(tally.fallbacks) | set(report.fallbacks))
     if latency_delta and latency_delta.get("count"):
         _LATENCY.setdefault(name, obs_metrics.MetricsRegistry()).absorb(
             {"histograms": {obs_metrics.JOB_SECONDS: latency_delta}}
@@ -188,6 +204,9 @@ def _tally_latency_quantiles(name: str) -> Dict[str, float]:
 def _copy_report(tally: BatchReport) -> BatchReport:
     values = {f.name: getattr(tally, f.name) for f in fields(BatchReport)}
     values["stage_seconds"] = dict(tally.stage_seconds)
+    values["kernels"] = dict(tally.kernels)
+    values["trace_engines"] = dict(tally.trace_engines)
+    values["fallbacks"] = list(tally.fallbacks)
     values["latency_quantiles"] = _tally_latency_quantiles(tally.backend or "(warm)")
     return BatchReport(**values)
 
@@ -208,7 +227,9 @@ def telemetry_lines() -> List[str]:
 
     Backends that accrued simulation stage time get a second line with
     the generate/decode/kernel/pricing wall-time split, and backends
-    that executed jobs a third with the per-job latency quantiles.
+    that executed jobs a third with the per-job latency quantiles, a
+    fourth with the kernels and trace engines that ran, and one line per
+    fallback reason.
     """
     lines: List[str] = []
     for name, t in sorted(_TELEMETRY.items()):
@@ -231,6 +252,13 @@ def telemetry_lines() -> List[str]:
                     for label in sorted(marks, key=lambda k: float(k[1:]))
                 )
             )
+        if t.kernels or t.trace_engines:
+            lines.append(
+                f"[repro] engines {name}: "
+                + obs_metrics.format_engines(t.kernels, t.trace_engines)
+            )
+        for reason in t.fallbacks:
+            lines.append(f"[repro] fallback {name}: {reason}")
     return lines
 
 
@@ -335,6 +363,7 @@ def run_jobs(
             latency_delta = obs_delta.get("histograms", {}).get(
                 obs_metrics.JOB_SECONDS
             )
+            used = obs_metrics.engines_used(obs_delta.get("counters", {}))
             batch = BatchReport(
                 submitted=len(ordered),
                 unique=len(state.unique),
@@ -350,6 +379,9 @@ def run_jobs(
                     if latency_delta and latency_delta.get("count")
                     else {}
                 ),
+                kernels=used["kernels"],
+                trace_engines=used["trace_engines"],
+                fallbacks=used["fallbacks"],
             )
             _record_telemetry(batch, latency_delta)
             if report is not None:

@@ -60,8 +60,9 @@ class SimulationJob:
     #: Simulation engine: "walk" (per-instruction reference), "batch"
     #: (array-batched C kernel), or None for the process-wide
     #: ``--kernel`` default (stamped in when the engine ships the job to
-    #: a worker). Deliberately EXCLUDED from :meth:`cache_key` for the
-    #: same reason as ``streaming``: the kernel-equivalence gate proves
+    #: a worker; unpinned, each worker picks batch when it can build
+    #: it). Deliberately EXCLUDED from :meth:`cache_key` for the same
+    #: reason as ``streaming``: the kernel-equivalence gate proves
     #: the engines produce identical results, so they must share cache
     #: entries.
     kernel: Optional[str] = None

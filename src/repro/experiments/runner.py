@@ -188,11 +188,12 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "--kernel",
         choices=kernel_mod.KERNELS,
         default=None,
-        help="simulation engine: 'walk' is the per-instruction reference "
-        "pipeline, 'batch' the array-batched C kernel (compiled on first "
-        "use; needs a C compiler). The kernels are float-for-float "
-        "identical — the choice affects speed only, never results or "
-        "cache keys (default: walk)",
+        help="simulation engine: 'batch' is the array-batched C kernel "
+        "(compiled once on first use; needs a C compiler), 'walk' the "
+        "per-instruction reference pipeline. The kernels are "
+        "float-for-float identical — the choice affects speed only, "
+        "never results or cache keys (default: batch when the C kernel "
+        "builds, else walk with a one-line stderr notice)",
     )
     parser.add_argument(
         "--backend",
@@ -241,7 +242,8 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "--verbose",
         action="store_true",
         help="print per-backend execution counters "
-        "(submitted/hits/misses/executed/failed) to stderr after the run",
+        "(submitted/hits/misses/executed/failed, engines that ran, "
+        "fallback reasons) to stderr after the run",
     )
 
 

@@ -10,8 +10,11 @@ provenance and outcome in a single machine-readable artifact:
   cache entry counts and byte sizes;
 * what happened: aggregated per-backend batch counters (submitted /
   unique / hits / misses / executed / failed), per-stage wall time, the
-  full metrics-registry snapshot (including the per-job latency
-  histogram), and the trace-out path when spans were also collected.
+  engines that actually ran (jobs per pipeline kernel, traces per
+  walker engine, fallback reasons — as reported by the processes that
+  simulated, workers included), the full metrics-registry snapshot
+  (including the per-job latency histogram), and the trace-out path
+  when spans were also collected.
 
 ``repro report run.json`` renders the manifest for humans. The helpers
 here are deliberately reusable: :func:`to_json` is the canonical
@@ -106,10 +109,14 @@ def build_run_manifest(
             "workers_used": tally.workers_used,
             "stage_seconds": dict(tally.stage_seconds),
             "latency_quantiles": dict(tally.latency_quantiles),
+            "kernels": dict(tally.kernels),
+            "trace_engines": dict(tally.trace_engines),
+            "fallbacks": list(tally.fallbacks),
         }
         for key in jobs_total:
             jobs_total[key] += backends[name][key]
     store = active()
+    snapshot = metrics.registry().snapshot()
     return {
         "schema": MANIFEST_SCHEMA,
         "argv": list(argv) if argv is not None else None,
@@ -125,7 +132,8 @@ def build_run_manifest(
         "jobs": jobs_total,
         "backends": backends,
         "stage_seconds": stagetime.totals(),
-        "metrics": metrics.registry().snapshot(),
+        "engines": metrics.engines_used(snapshot["counters"]),
+        "metrics": snapshot,
         "trace_out": tracer.output_path(),
     }
 
@@ -240,6 +248,16 @@ def render_manifest(document: dict) -> str:
                 for label in sorted(quantile_map, key=lambda k: float(k[1:]))
             )
             lines.append(f"    job latency: {rendered}")
+    engines = document.get("engines") or {}
+    if engines.get("kernels") or engines.get("trace_engines"):
+        lines.append(
+            "engines:      "
+            + metrics.format_engines(
+                engines.get("kernels") or {}, engines.get("trace_engines") or {}
+            )
+        )
+    for reason in engines.get("fallbacks") or []:
+        lines.append(f"  fallback: {reason}")
     stage_seconds = document.get("stage_seconds") or {}
     if stage_seconds:
         lines.append(f"stages:       {format_stages(stage_seconds)}")

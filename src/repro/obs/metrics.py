@@ -31,13 +31,17 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
+    "ENGINES_PREFIX",
     "JOB_SECONDS",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "engines_used",
+    "format_engines",
     "histogram_quantile",
     "quantiles",
+    "record_engine",
     "registry",
     "reset",
 ]
@@ -351,6 +355,52 @@ def registry() -> MetricsRegistry:
 def reset() -> None:
     """Clear the process-wide registry (tests, embedding applications)."""
     _registry.reset()
+
+
+#: Counter namespace recording what actually executed, bumped by the
+#: process that simulates: ``engines.kernel.<name>`` counts jobs per
+#: pipeline kernel, ``engines.trace.<name>`` traces per walker engine,
+#: and ``engines.fallback.<reason>`` each run that fell back to a
+#: slower engine. The counters ride the worker metrics relay, so a
+#: batch's delta names what its pool or SSH workers ran.
+ENGINES_PREFIX = "engines."
+_ENGINE_FIELDS = {"kernel": "kernels", "trace": "trace_engines"}
+
+
+def record_engine(kind: str, name: str, fallback: Optional[str] = None) -> None:
+    """Count one use of engine ``name`` (``kind`` is kernel or trace)."""
+    _registry.counter(f"{ENGINES_PREFIX}{kind}.{name}").inc()
+    if fallback is not None:
+        _registry.counter(f"{ENGINES_PREFIX}fallback.{fallback}").inc()
+
+
+def engines_used(counters: Dict[str, float]) -> dict:
+    """``{"kernels", "trace_engines", "fallbacks"}`` from counter values.
+
+    ``counters`` is a snapshot's or a delta's ``counters`` map; the
+    result holds per-engine integer counts and the sorted distinct
+    fallback reasons.
+    """
+    used: dict = {field: {} for field in _ENGINE_FIELDS.values()}
+    used["fallbacks"] = []
+    for name, value in sorted(counters.items()):
+        if not name.startswith(ENGINES_PREFIX):
+            continue
+        kind, _, engine = name[len(ENGINES_PREFIX) :].partition(".")
+        if kind == "fallback":
+            used["fallbacks"].append(engine)
+        elif kind in _ENGINE_FIELDS:
+            used[_ENGINE_FIELDS[kind]][engine] = int(value)
+    return used
+
+
+def format_engines(kernels: Dict[str, int], trace_engines: Dict[str, int]) -> str:
+    """``kernel batch=9 trace c=9``: the engine counts, one line's worth."""
+
+    def counts(values: Dict[str, int]) -> str:
+        return " ".join(f"{k}={v}" for k, v in sorted(values.items())) or "-"
+
+    return f"kernel {counts(kernels)} trace {counts(trace_engines)}"
 
 
 def quantiles(

@@ -24,6 +24,7 @@ object->column projection round-trips, and ``is_columnar`` provenance
 fast-path guard depends on it).
 """
 
+import dataclasses
 from array import array
 
 import pytest
@@ -51,6 +52,8 @@ from repro.cpu.stream import (
 )
 from repro.cpu.trace import TraceInstruction, trace_digest
 from repro.cpu.workloads import (
+    _PACKED_MEMO_SIZE,
+    _packed_program,
     _walk_trace,
     benchmark_names,
     generate_trace,
@@ -152,6 +155,71 @@ class TestColumnarDigestGate:
             assert 0 < sizes[-1] <= chunk_size
             columnar = _drain(chunks)
             assert trace_digest(columnar) == trace_digest(reference)
+
+
+# -- the packed-program memo ----------------------------------------------------
+
+
+@pytest.mark.skipif(
+    not trace_kernel_available(),
+    reason=f"no trace kernel: {trace_kernel_unavailable_reason()}",
+)
+class TestPackedProgramMemo:
+    """The C walker's static tables are built once per (profile, seed)
+    and shared across walks without changing a single trace slot."""
+
+    def test_results_equal_cold_and_warm(self):
+        profile = get_benchmark("vortex")
+        _packed_program.cache_clear()
+        cold = Simulator(profile, seed=4, kernel=KERNEL_BATCH).run(6_000)
+        cold_digest = trace_digest(_drain(iter_trace(profile, 6_000, seed=4)))
+        assert _packed_program.cache_info().hits >= 1
+        warm = Simulator(profile, seed=4, kernel=KERNEL_BATCH).run(6_000)
+        warm_digest = trace_digest(_drain(iter_trace(profile, 6_000, seed=4)))
+        assert warm.stats == cold.stats
+        assert warm_digest == cold_digest
+        assert cold_digest == trace_digest(list(_walk_trace(profile, 6_000, 4)))
+
+    def test_lru_stays_bounded(self):
+        _packed_program.cache_clear()
+        profile = get_benchmark("gzip")
+        for seed in range(_PACKED_MEMO_SIZE + 5):
+            next(iter(iter_trace(profile, 10, seed=seed)))
+        info = _packed_program.cache_info()
+        assert info.maxsize == _PACKED_MEMO_SIZE <= 16
+        assert info.currsize == _PACKED_MEMO_SIZE
+
+    def test_same_name_profiles_do_not_collide(self):
+        base = get_benchmark("gcc")
+        twin = dataclasses.replace(base, num_blocks=base.num_blocks // 2)
+        assert twin.name == base.name and twin != base
+        _packed_program.cache_clear()
+        for profile in (base, twin, base, twin):
+            columnar = _drain(iter_trace(profile, 5_000, seed=3))
+            reference = list(_walk_trace(profile, 5_000, 3))
+            assert trace_digest(columnar) == trace_digest(reference)
+        assert _packed_program.cache_info().currsize == 2
+
+    @pytest.mark.parametrize(
+        "length, chunk_size, sizes",
+        [
+            (100, 1_024, [100]),
+            (768, 256, [256, 256, 256]),
+            (1_000, 1_000, [1_000]),
+            (1_001, 500, [500, 500, 1]),
+        ],
+    )
+    def test_chunk_boundaries(self, length, chunk_size, sizes):
+        profile = get_benchmark("mcf")
+        for _ in range(2):  # memo cold, then warm
+            chunks = list(iter_trace(profile, length, seed=8, chunk_size=chunk_size))
+            assert [len(c) for c in chunks] == sizes
+            assert [c.start for c in chunks] == [
+                sum(sizes[:i]) for i in range(len(sizes))
+            ]
+            assert trace_digest(_drain(chunks)) == trace_digest(
+                list(_walk_trace(profile, length, 8))
+            )
 
 
 # -- the simulation gate --------------------------------------------------------

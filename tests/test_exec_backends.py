@@ -608,3 +608,56 @@ class TestObservabilityRelay:
         tracer.reset()
         run_jobs(_jobs(), backend="ssh:localhost", use_cache=False)
         assert tracer.events() == []
+
+
+class TestEngineProvenance:
+    """Batch reports name the engines that actually ran, as the
+    simulating process (worker included) recorded them."""
+
+    @pytest.fixture(autouse=True)
+    def _engines_built(self):
+        from repro.cpu._trace_build import trace_kernel_available
+        from repro.cpu.kernel import batch_kernel_available
+
+        if not (batch_kernel_available() and trace_kernel_available()):
+            pytest.skip("the C engines cannot be built here")
+
+    @pytest.mark.parametrize("backend", ["serial", "pool:2", "ssh:localhost"])
+    def test_default_run_reports_compiled_engines(self, fresh_cache, backend):
+        report = BatchReport()
+        run_jobs(_jobs(), backend=backend, use_cache=False, report=report)
+        assert report.kernels == {"batch": 3}
+        assert report.trace_engines == {"c": 3}
+        assert report.fallbacks == []
+
+    def test_explicit_walk_is_not_a_fallback(self, fresh_cache):
+        report = BatchReport()
+        jobs = [_job(name, kernel="walk") for name in ("gzip", "mcf")]
+        run_jobs(jobs, backend="serial", use_cache=False, report=report)
+        assert report.kernels == {"walk": 2}
+        assert report.fallbacks == []
+
+    def test_ssh_reports_the_worker_fallback(self, fresh_cache, monkeypatch, tmp_path):
+        """The remote worker cannot compile, so it falls back to the walk
+        while this process has batch loaded: the report must carry the
+        worker's account, relayed over the wire, not this process's."""
+        from repro.obs import manifest
+
+        monkeypatch.setenv("CC", "/nonexistent")
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "empty-kernels"))
+        reset_telemetry()
+        report = BatchReport()
+        run_jobs(_jobs(), backend="ssh:localhost", use_cache=False, report=report)
+        assert report.kernels == {"walk": 3}
+        assert report.trace_engines == {"python": 3}
+        assert len(report.fallbacks) == 2
+        assert report.fallbacks[0].startswith("batch kernel unavailable: ")
+        assert report.fallbacks[1].startswith("trace kernel unavailable: ")
+        assert "/nonexistent" in report.fallbacks[0]
+        lines = telemetry_lines()
+        assert "[repro] engines ssh: kernel walk=3 trace python=3" in lines
+        assert f"[repro] fallback ssh: {report.fallbacks[0]}" in lines
+        recorded = manifest.build_run_manifest()["backends"]["ssh"]
+        assert recorded["kernels"] == {"walk": 3}
+        assert recorded["fallbacks"] == report.fallbacks
+        reset_telemetry()

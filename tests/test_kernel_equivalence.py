@@ -65,7 +65,7 @@ CLOSED_LOOP = SleepRuntimeSpec(policy="MaxSleep", wakeup_latency=2)
 
 @pytest.fixture(autouse=True)
 def _reset_kernel_default():
-    """Tests may set the process-wide kernel; always restore the walk."""
+    """Tests may set the process-wide kernel; always restore the default."""
     yield
     set_default_kernel(None)
 
@@ -253,13 +253,35 @@ class TestKernelKnob:
         assert check_kernel("walk") == KERNEL_WALK
         with pytest.raises(ValueError, match="unknown kernel"):
             check_kernel("vectorized")
+        assert resolve_kernel(None) == KERNEL_BATCH  # built: batch is default
+        assert resolve_kernel("walk") == KERNEL_WALK  # explicit wins
+        set_default_kernel("walk")
         assert resolve_kernel(None) == KERNEL_WALK
         assert resolve_kernel("batch") == KERNEL_BATCH
-        set_default_kernel("batch")
-        assert resolve_kernel(None) == KERNEL_BATCH
-        assert resolve_kernel("walk") == KERNEL_WALK  # explicit wins
         set_default_kernel(None)
+        assert resolve_kernel(None) == KERNEL_BATCH
+
+    def test_default_falls_back_to_walk_with_one_notice(
+        self, monkeypatch, capsys
+    ):
+        from repro.cpu import _kernel_build
+
+        def unavailable():
+            raise RuntimeError("batch kernel unavailable: no C compiler")
+
+        monkeypatch.setattr(_kernel_build, "kernel_library", unavailable)
+        monkeypatch.setattr(kernel_mod, "_fallback_noticed", False)
         assert resolve_kernel(None) == KERNEL_WALK
+        assert resolve_kernel(None) == KERNEL_WALK
+        notices = capsys.readouterr().err.splitlines()
+        assert notices == [
+            "[repro] batch kernel unavailable: no C compiler; falling back "
+            "to the walk kernel (same results, slower)"
+        ]
+        # An explicit batch request still fails loudly instead.
+        assert resolve_kernel("batch") == KERNEL_BATCH
+        with pytest.raises(RuntimeError, match="requested but unavailable"):
+            Simulator(get_benchmark("gzip"), kernel="batch").run(100)
 
     def test_kernel_excluded_from_cache_key(self):
         job = SimulationJob(profile=get_benchmark("gzip"), num_instructions=1_000)
@@ -276,10 +298,11 @@ class TestKernelKnob:
 
     def test_simulator_default_follows_process_default(self):
         profile = get_benchmark("vortex")
-        walk = Simulator(profile, seed=6).run(1_500)
-        set_default_kernel("batch")
-        batch = Simulator(profile, seed=6).run(1_500)
-        assert batch.stats == walk.stats
+        walk = Simulator(profile, seed=6, kernel=KERNEL_WALK).run(1_500)
+        default = Simulator(profile, seed=6).run(1_500)
+        assert default.stats == walk.stats
+        set_default_kernel("walk")
+        assert Simulator(profile, seed=6).run(1_500).stats == walk.stats
 
 
 class TestErrorParity:

@@ -76,6 +76,17 @@ class TestBuildRunManifest:
         histograms = document["metrics"]["histograms"]
         assert histograms["job_seconds"]["count"] >= 1
 
+    def test_records_engines_that_ran(self, fresh_cache, fresh_telemetry):
+        from repro.cpu.kernel import resolve_kernel
+
+        _run_one_job()
+        document = manifest.build_run_manifest()
+        kernel = resolve_kernel(None)
+        assert document["backends"]["serial"]["kernels"] == {kernel: 1}
+        assert sum(document["backends"]["serial"]["trace_engines"].values()) == 1
+        assert document["engines"]["kernels"][kernel] >= 1
+        assert "engines:      kernel " in manifest.render_manifest(document)
+
     def test_duration_computed_from_start(self, fresh_cache, fresh_telemetry):
         document = manifest.build_run_manifest(started=0.0)
         assert document["duration_seconds"] > 0

@@ -323,3 +323,23 @@ class TestStagetimeReHome:
             tracer.enable(False)
             tracer.reset()
             stagetime.reset()
+
+
+class TestEngineCounters:
+    def test_recorded_engines_read_back_from_a_delta(self):
+        from repro.obs.metrics import engines_used, format_engines, record_engine
+
+        before = metrics.registry().snapshot()
+        record_engine("kernel", "walk", "batch kernel unavailable: no cc")
+        record_engine("kernel", "walk", "batch kernel unavailable: no cc")
+        record_engine("trace", "c")
+        used = engines_used(metrics.registry().delta_since(before)["counters"])
+        assert used == {
+            "kernels": {"walk": 2},
+            "trace_engines": {"c": 1},
+            "fallbacks": ["batch kernel unavailable: no cc"],
+        }
+        assert format_engines(used["kernels"], used["trace_engines"]) == (
+            "kernel walk=2 trace c=1"
+        )
+        assert format_engines({}, {}) == "kernel - trace -"
