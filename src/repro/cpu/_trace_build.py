@@ -7,8 +7,8 @@ caching follow the batch pipeline kernel exactly — lazy ``cc`` compile
 into the hash-keyed cache via
 :func:`repro.cpu._kernel_build.build_shared_library`, plain C ABI, no
 ``Python.h`` — and availability only ever affects speed: without a
-compiler the columnar drain in :mod:`repro.cpu.workloads` runs its pure
-Python twin, digest-identical by the same CI gate.
+compiler :mod:`repro.cpu.workloads` packs its reference walk into the
+same chunks instead, digest-identical by the same CI gate.
 """
 
 from __future__ import annotations

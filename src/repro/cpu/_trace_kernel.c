@@ -1,11 +1,12 @@
-/* _trace_kernel.c — the columnar trace walker.
+/* _trace_kernel.c — the production trace walker.
  *
- * Replays the dynamic CFG walk of repro/cpu/workloads.py in C,
- * bit-exact against CPython's random.Random. The Python side builds the
- * static program (structure stream untouched) and transplants the
- * walk/data generators' raw MT19937 states via Random.getstate(); this
- * engine implements only the downstream draw shapes with exactly
- * CPython's arithmetic:
+ * Replays the dynamic CFG walk of repro/cpu/workloads.py (_walk_trace,
+ * the reference and the only Python walk) in C, into column-backed
+ * chunks, bit-exact against CPython's random.Random. The Python side
+ * builds the static program (structure stream untouched) and
+ * transplants the walk/data generators' raw MT19937 states via
+ * Random.getstate(); this engine implements only the downstream draw
+ * shapes with exactly CPython's arithmetic:
  *
  *   random()        two tempered words -> 53-bit double
  *                   (a >> 5) * 2^26 + (b >> 6), scaled by 2^-53
@@ -22,7 +23,9 @@
  * Plain C99 + libc only (no Python.h), same contract as
  * _pipeline_kernel.c: the lazy ctypes build needs nothing beyond cc.
  *
- * Draw-order contract (mirrors _walk_trace / _walk_trace_columns):
+ * Draw-order contract, two-way with _walk_trace (any behavior change
+ * lands in both or neither; without a compiler the packed _walk_trace
+ * is the recorded fallback):
  *   body op:     dep1 draw, second-source chance, [dep2 draw],
  *                [address roll (+offset draw) for load/store],
  *                [load-chain chance iff a load has retired]

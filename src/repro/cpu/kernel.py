@@ -195,7 +195,7 @@ def run_kernel(kernel: Optional[str]) -> str:
     return resolved
 
 
-# -- structure-of-arrays chunk decode -------------------------------------------
+# -- ctypes column pointers -----------------------------------------------------
 
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
 _P_U8 = ctypes.POINTER(ctypes.c_uint8)
@@ -207,20 +207,6 @@ def _i64_ptr(column: array) -> "ctypes._Pointer":
 
 def _u8_ptr(column: array) -> "ctypes._Pointer":
     return ctypes.cast(column.buffer_info()[0], _P_U8)
-
-
-def decode_chunk(chunk: TraceChunk) -> tuple:
-    """One :class:`TraceChunk` as the kernel's per-field typed arrays.
-
-    For column-backed chunks (everything the columnar trace generators
-    emit) this is a zero-copy pass-through: the chunk's own arrays are
-    returned, which is safe because ``repro_feed`` copies the window
-    into its ring before returning. Object-backed chunks (hand-built
-    tests, legacy composites) pay one attribute-projection pass via
-    :meth:`~repro.cpu.stream.TraceChunk.columns` — the last remaining
-    per-instruction Python cost on the batch path.
-    """
-    return chunk.columns
 
 
 # -- the batched pipeline -------------------------------------------------------
@@ -364,9 +350,9 @@ class BatchPipeline:
         fed = 0
         status = ST_NEED_DATA
         # Lazy generators do their work inside next(), which the timed
-        # iterator charges to "generate"; the feed loop's own time below
-        # lands on "decode" (projection, ~zero when column-backed) and
-        # "kernel" (the C cycle loop).
+        # iterator charges to "generate"; the feed below lands on
+        # "kernel" (the C cycle loop, which copies the columns into its
+        # ring, so column-backed chunks pass through zero-copy).
         for chunk in stagetime.timed_iterator("generate", self._chunks):
             if chunk.start != fed:
                 raise ValueError(
@@ -378,9 +364,8 @@ class BatchPipeline:
                     f"chunk [{chunk.start}, {chunk.end}) overruns the "
                     f"declared length {total}"
                 )
-            with stagetime.timed("decode"):
-                op, pc, dep1, dep2, addr, taken, target = decode_chunk(chunk)
             with stagetime.timed("kernel"):
+                op, pc, dep1, dep2, addr, taken, target = chunk.columns
                 status = lib.repro_feed(
                     sim,
                     _u8_ptr(op),

@@ -282,10 +282,9 @@ def columns_chunk(
 ) -> TraceChunk:
     """Freeze parallel row buffers into a column-backed chunk.
 
-    The columnar generators accumulate rows in plain lists (the cheapest
-    thing to append to from a Python loop) and call this at chunk
-    boundaries to convert one chunk's worth into typed arrays. Buffers
-    may be any int sequences; callers pass pre-sliced views.
+    The no-compiler trace walk gathers one chunk's rows per field in
+    plain lists and calls this to convert them into typed arrays.
+    Buffers may be any int sequences.
     """
     return TraceChunk.from_columns(
         start,

@@ -20,9 +20,9 @@ dataflow and locality models.
 from __future__ import annotations
 
 import functools
-import os
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cpu import _trace_build
@@ -182,19 +182,11 @@ _TERM_BRANCH = 0
 _TERM_CALL = 1
 _TERM_RETURN = 2
 
-# Control-op values as plain ints for the columnar drain's row appends.
-_OP_BRANCH = int(OpClass.BRANCH)
-_OP_CALL = int(OpClass.CALL)
-_OP_RETURN = int(OpClass.RETURN)
-
 
 class _Block:
     """A basic block of the static program."""
 
-    __slots__ = (
-        "start_pc", "body", "terminator", "term_pc", "branch",
-        "col_ops", "col_pcs", "col_kinds", "col_zeros",
-    )
+    __slots__ = ("start_pc", "body", "terminator", "term_pc", "branch")
 
     def __init__(self, start_pc: int, body: List[OpClass], terminator: int):
         self.start_pc = start_pc
@@ -202,18 +194,6 @@ class _Block:
         self.terminator = terminator
         self.term_pc = start_pc + 4 * len(body)
         self.branch: Optional[_StaticBranch] = None
-        # Static per-block columns, precomputed once so the columnar
-        # drain bulk-extends its buffers instead of recomputing op
-        # values and PCs on every dynamic visit. kinds: 1 = load,
-        # 2 = store, 0 = everything else (what the address/chain logic
-        # dispatches on).
-        self.col_ops = [int(op) for op in body]
-        self.col_pcs = [start_pc + 4 * i for i in range(len(body))]
-        self.col_kinds = [
-            1 if op is OpClass.LOAD else 2 if op is OpClass.STORE else 0
-            for op in body
-        ]
-        self.col_zeros = [0] * len(body)
 
 
 class _StaticBranch:
@@ -454,10 +434,11 @@ def _walk_trace(
 
     The *executable reference* for the instruction stream: readable,
     one draw shape per helper, one yield per instruction. The
-    production paths (:func:`generate_trace`, :func:`iter_trace`) drain
-    :func:`_walk_trace_columns` instead — the same walk inlined into a
-    columnar drain — and the digest-identity gate in
-    ``tests/test_columnar.py`` pins the two together draw for draw.
+    production paths (:func:`generate_trace`, :func:`iter_trace`) run
+    the compiled walker in ``_trace_kernel.c`` instead, and the
+    digest-identity gate in ``tests/test_columnar.py`` pins the two
+    together draw for draw. Without a usable walker, this walk packed
+    into columns (:func:`_walk_chunks`) is the recorded fallback.
     """
     structure_rng = DeterministicRng(seed).child(profile.name, "structure")
     walk_rng = DeterministicRng(seed).child(profile.name, "walk")
@@ -568,22 +549,18 @@ def _walk_trace(
             current = next_block
 
 
-def _trace_engine(profile: WorkloadProfile) -> Tuple[bool, Optional[str]]:
-    """Should this walk run on the compiled trace walker, and if not, why?
+def _trace_fallback(profile: WorkloadProfile) -> Optional[str]:
+    """Why this walk cannot run on the compiled trace walker, or None.
 
-    Returns ``(True, None)`` for the C walker. ``REPRO_TRACE_ENGINE=python``
-    forces the pure-Python drain (how the equivalence tests compare the
-    two engines) and is not a fallback. Otherwise the Python drain is a
-    fallback, returned with its reason: the walker did not build, or
-    the profile breaks its fixed-width assumptions — randbelow spans
-    inside 32 bits, 4-byte ``array`` int/uint codes on this platform,
-    and a non-degenerate stream modulus wherever stream accesses can
-    occur (a zero modulus must keep raising in Python, not fault in C).
+    A reason makes the Python walk a recorded fallback: the walker did
+    not build, or the profile breaks its fixed-width assumptions —
+    randbelow spans inside 32 bits, 4-byte ``array`` int/uint codes on
+    this platform, and a non-degenerate stream modulus wherever stream
+    accesses can occur (a zero modulus must keep raising in Python, not
+    fault in C).
     """
-    if os.environ.get("REPRO_TRACE_ENGINE", "").strip().lower() == "python":
-        return False, None
     if array("i").itemsize != 4 or array("I").itemsize != 4:
-        return False, "trace kernel unusable: array int codes are not 4 bytes"
+        return "trace kernel unusable: array int codes are not 4 bytes"
     limit = 2**32 - 1
     spans = (
         max(8, profile.stack_bytes) - 8,
@@ -598,9 +575,8 @@ def _trace_engine(profile: WorkloadProfile) -> Tuple[bool, Optional[str]]:
             and max(profile.stream_stride, profile.stream_bytes) < 1
         )
     ):
-        return False, "trace kernel unusable: profile outside its fixed-width limits"
-    reason = _trace_build.trace_kernel_unavailable_reason()
-    return reason is None, reason
+        return "trace kernel unusable: profile outside its fixed-width limits"
+    return _trace_build.trace_kernel_unavailable_reason()
 
 
 #: Packed programs kept per process. The nine paper benchmarks fit, so a
@@ -621,8 +597,8 @@ def _packed_program(profile: WorkloadProfile, seed: int) -> Tuple[array, ...]:
     profiles sharing a name never collide. Safe to share across walks:
     the tables depend only on the structure stream, the walker copies
     every table on create, and no caller writes them. The mutable
-    :class:`_StaticProgram` itself is never cached — the Python walks
-    mutate its branch state.
+    :class:`_StaticProgram` itself is never cached — the reference walk
+    mutates its branch state.
     """
     rng = DeterministicRng(seed).child(profile.name, "structure")
     program = _StaticProgram(profile, rng)
@@ -635,11 +611,11 @@ def _packed_program(profile: WorkloadProfile, seed: int) -> Tuple[array, ...]:
     ]
     body_off: List[int] = []
     body_len: List[int] = []
-    body_ops: List[int] = []
+    body_ops: List[OpClass] = []
     for block in blocks:
         body_off.append(len(body_ops))
-        body_len.append(len(block.col_ops))
-        body_ops += block.col_ops
+        body_len.append(len(block.body))
+        body_ops += block.body
 
     is_loop: List[int] = []
     trip_mean: List[float] = []
@@ -724,8 +700,7 @@ def _drain_walk_c(
     Hands the walker the packed static tables, transplants the walk and
     data generators' MT19937 states (``Random.getstate()`` — the C side
     has no seeding logic to diverge), and pulls column-backed chunks
-    straight out of C buffers sized to the rows still due. Emits
-    exactly the chunks the Python drain would.
+    straight out of C buffers sized to the rows still due.
     """
     lib = _trace_build.trace_library()
     (
@@ -799,272 +774,56 @@ def _drain_walk_c(
         lib.repro_trace_destroy(handle)
 
 
-def _walk_trace_columns(
+def _walk_chunks(
     profile: WorkloadProfile,
     num_instructions: int,
     seed: int,
     chunk_size: int,
 ) -> Iterator[TraceChunk]:
-    """The same CFG walk as :func:`_walk_trace`, drained into columns.
+    """The CFG walk of :func:`_walk_trace` as column-backed chunks.
 
-    This is the cold-path hot loop of the whole system, so it trades
-    readability for speed: the RNG draw shapes (``chance``,
-    ``geometric``, the dependency draw, the address model) are inlined
-    onto bound ``random.Random`` methods, static per-block columns are
-    bulk-extended, and rows accumulate in plain lists frozen into typed
-    arrays only at chunk boundaries.
+    Every chunk holds exactly ``chunk_size`` rows, the remainder last,
+    whichever engine runs. The compiled walker (bit-exact CPython-random
+    replay, see ``_trace_kernel.c``) is the production engine. Without a
+    usable one, the reference walk itself is packed into the same
+    chunks, and the fallback is recorded with its reason.
 
-    LOCKSTEP CONTRACT: every RNG draw here must mirror
-    :func:`_walk_trace` exactly — same stream, same order, same count,
-    including the no-draw shortcuts (``geometric(1.0)``, the
+    LOCKSTEP CONTRACT: ``_trace_kernel.c`` must mirror every RNG draw
+    of :func:`_walk_trace` exactly — same stream, same order, same
+    count, including the no-draw shortcuts (``geometric(1.0)``, the
     load-chain short-circuit when no load has retired yet, fixed-trip
     loops). The two walks must stay digest-identical, not merely
     float-equal; ``tests/test_columnar.py`` and the property suite
-    enforce it, and :func:`_walk_trace` stays as the executable
-    reference. Any behavior change lands in both or neither.
+    enforce it. Any behavior change lands in both or neither.
     """
-    walk_rng = DeterministicRng(seed).child(profile.name, "walk")
-    data_rng = DeterministicRng(seed).child(profile.name, "data")
-
-    # The compiled walker (bit-exact CPython-random replay, see
-    # _trace_kernel.c) drains 1-2 orders of magnitude faster, from static
-    # tables built once per (profile, seed); the Python drain below is
-    # its always-available twin. Same chunks either way.
-    use_c, fallback = _trace_engine(profile)
-    record_engine("trace", "c" if use_c else "python", fallback)
-    if use_c:
+    fallback = _trace_fallback(profile)
+    record_engine("trace", "python" if fallback else "c", fallback)
+    if fallback is None:
         yield from _drain_walk_c(
-            _packed_program(profile, seed), walk_rng, data_rng,
-            num_instructions, chunk_size,
+            _packed_program(profile, seed),
+            DeterministicRng(seed).child(profile.name, "walk"),
+            DeterministicRng(seed).child(profile.name, "data"),
+            num_instructions,
+            chunk_size,
         )
         return
-
-    structure_rng = DeterministicRng(seed).child(profile.name, "structure")
-    program = _StaticProgram(profile, structure_rng)
-    blocks = program.blocks
-    call_targets = program.call_targets
-
-    # Bound RNG entry points (one attribute lookup instead of three per
-    # draw) and hoisted profile constants.
-    data_random = data_rng._random.random
-    data_randint = data_rng._random.randint
-    first_prob = profile.first_source_prob
-    second_prob = profile.second_source_prob
-    mean_dep = profile.mean_dep_distance
-    dep_is_unit = mean_dep == 1.0
-    dep_success = 0.0 if dep_is_unit else 1.0 / mean_dep
-    chain_prob = profile.load_chain_prob
-    stack_prob = profile.stack_prob
-    stack_or_stream = stack_prob + profile.stream_prob
-    hot_prob = profile.heap_hot_prob
-    stack_span = max(8, profile.stack_bytes) - 8
-    hot_span = max(8, profile.heap_hot_bytes) - 8
-    heap_span = max(8, profile.heap_bytes) - 8
-    stride = profile.stream_stride
-    stream_mod = max(stride, profile.stream_bytes)
-    main_blocks = profile.num_blocks
-
-    def draw_dep(pos: int) -> int:
-        # Mirrors _walk_trace's draw_dep: chance(first_source_prob),
-        # then geometric(mean_dep_distance) capped to the trace prefix.
-        if data_random() >= first_prob:
-            return 0
-        if dep_is_unit:
-            return 1 if pos >= 1 else pos
-        distance = 1
-        while not data_random() < dep_success:
-            distance += 1
-            if distance > 10_000_000:
-                break
-        return distance if distance < pos else pos
-
-    op_buf: List[int] = []
-    pc_buf: List[int] = []
-    dep1_buf: List[int] = []
-    dep2_buf: List[int] = []
-    addr_buf: List[int] = []
-    taken_buf: List[int] = []
-    target_buf: List[int] = []
-    dep1_append = dep1_buf.append
-    dep2_append = dep2_buf.append
-    addr_append = addr_buf.append
-    emitted = 0
-
-    position = 0
-    current = 0
-    call_stack: List[int] = []
-    last_load_index = -1
-    stream_offset = 0
-
-    while position < num_instructions:
-        block = blocks[current]
-        body_len = len(block.col_ops)
-        take = body_len
-        if position + take > num_instructions:
-            take = num_instructions - position
-        if take == body_len:
-            op_buf += block.col_ops
-            pc_buf += block.col_pcs
-            zeros = block.col_zeros
-            kinds = block.col_kinds
-        else:
-            op_buf += block.col_ops[:take]
-            pc_buf += block.col_pcs[:take]
-            zeros = block.col_zeros[:take]
-            kinds = block.col_kinds[:take]
-        taken_buf += zeros
-        target_buf += zeros
-        for kind in kinds:
-            # dep1 = draw_dep(position), inlined.
-            if data_random() < first_prob:
-                if dep_is_unit:
-                    dep1 = 1 if position >= 1 else position
-                else:
-                    distance = 1
-                    while not data_random() < dep_success:
-                        distance += 1
-                        if distance > 10_000_000:
-                            break
-                    dep1 = distance if distance < position else position
-            else:
-                dep1 = 0
-            # dep2 = draw_dep(position) if chance(second_source_prob).
-            if data_random() < second_prob:
-                if data_random() < first_prob:
-                    if dep_is_unit:
-                        dep2 = 1 if position >= 1 else position
-                    else:
-                        distance = 1
-                        while not data_random() < dep_success:
-                            distance += 1
-                            if distance > 10_000_000:
-                                break
-                        dep2 = distance if distance < position else position
-                else:
-                    dep2 = 0
-            else:
-                dep2 = 0
-            if kind:
-                # _AddressGenerator.next_address, inlined: one uniform
-                # roll picks the locality class, then stack/heap draw a
-                # doubleword-aligned offset; streams advance statefully
-                # with no draw.
-                roll = data_random()
-                if roll < stack_prob:
-                    address = _STACK_BASE + (data_randint(0, stack_span) & ~7)
-                elif roll < stack_or_stream:
-                    address = _STREAM_BASE + stream_offset
-                    stream_offset = (stream_offset + stride) % stream_mod
-                elif data_random() < hot_prob:
-                    address = _HEAP_BASE + (data_randint(0, hot_span) & ~7)
-                else:
-                    address = _HEAP_BASE + (data_randint(0, heap_span) & ~7)
-                if kind == 1:
-                    if last_load_index >= 0 and data_random() < chain_prob:
-                        dep1 = position - last_load_index
-                    last_load_index = position
-            else:
-                address = 0
-            dep1_append(dep1)
-            dep2_append(dep2)
-            addr_append(address)
-            position += 1
-
-        if position >= num_instructions:
-            break
-
-        # Terminator (one row appended to every buffer).
-        terminator = block.terminator
-        if terminator == _TERM_CALL:
-            target_entry = call_targets[current]
-            op_buf.append(_OP_CALL)
-            pc_buf.append(block.term_pc)
-            dep1_append(draw_dep(position))
-            dep2_append(0)
-            addr_append(0)
-            taken_buf.append(1)
-            target_buf.append(blocks[target_entry].start_pc)
-            position += 1
-            call_stack.append((current + 1) % main_blocks)
-            current = target_entry
-        elif terminator == _TERM_RETURN:
-            if call_stack:
-                return_block = call_stack.pop()
-            else:
-                return_block = walk_rng.randint(0, main_blocks - 1)
-            op_buf.append(_OP_RETURN)
-            pc_buf.append(block.term_pc)
-            dep1_append(0)
-            dep2_append(0)
-            addr_append(0)
-            taken_buf.append(1)
-            target_buf.append(blocks[return_block].start_pc)
-            position += 1
-            current = return_block
-        else:
-            branch = block.branch
-            taken = branch.next_outcome(walk_rng)
-            if branch.indirect_targets is not None and taken:
-                branch.target_block = branch.indirect_targets[
-                    walk_rng.randint(0, len(branch.indirect_targets) - 1)
-                ]
-            if taken:
-                next_block = branch.target_block
-            else:
-                limit = main_blocks if current < main_blocks else len(blocks)
-                next_block = current + 1
-                if next_block >= limit:
-                    next_block = 0 if current < main_blocks else current
-            op_buf.append(_OP_BRANCH)
-            pc_buf.append(block.term_pc)
-            dep1_append(draw_dep(position))
-            dep2_append(0)
-            addr_append(0)
-            taken_buf.append(1 if taken else 0)
-            target_buf.append(blocks[branch.target_block].start_pc)
-            position += 1
-            current = next_block
-
-        while len(op_buf) >= chunk_size:
-            yield columns_chunk(
-                emitted,
-                op_buf[:chunk_size], pc_buf[:chunk_size],
-                dep1_buf[:chunk_size], dep2_buf[:chunk_size],
-                addr_buf[:chunk_size], taken_buf[:chunk_size],
-                target_buf[:chunk_size],
-            )
-            del op_buf[:chunk_size]
-            del pc_buf[:chunk_size]
-            del dep1_buf[:chunk_size]
-            del dep2_buf[:chunk_size]
-            del addr_buf[:chunk_size]
-            del taken_buf[:chunk_size]
-            del target_buf[:chunk_size]
-            emitted += chunk_size
-
-    # Final flush: the truncation paths above can leave more than one
-    # chunk's worth buffered, so keep boundaries exact here too.
-    while len(op_buf) >= chunk_size:
+    walk = _walk_trace(profile, num_instructions, seed)
+    start = 0
+    while True:
+        rows = list(islice(walk, chunk_size))
+        if not rows:
+            return
         yield columns_chunk(
-            emitted,
-            op_buf[:chunk_size], pc_buf[:chunk_size],
-            dep1_buf[:chunk_size], dep2_buf[:chunk_size],
-            addr_buf[:chunk_size], taken_buf[:chunk_size],
-            target_buf[:chunk_size],
+            start,
+            [i.op for i in rows],
+            [i.pc for i in rows],
+            [i.dep1 for i in rows],
+            [i.dep2 for i in rows],
+            [i.address for i in rows],
+            [i.taken for i in rows],
+            [i.target for i in rows],
         )
-        del op_buf[:chunk_size]
-        del pc_buf[:chunk_size]
-        del dep1_buf[:chunk_size]
-        del dep2_buf[:chunk_size]
-        del addr_buf[:chunk_size]
-        del taken_buf[:chunk_size]
-        del target_buf[:chunk_size]
-        emitted += chunk_size
-    if op_buf:
-        yield columns_chunk(
-            emitted, op_buf, pc_buf, dep1_buf, dep2_buf,
-            addr_buf, taken_buf, target_buf,
-        )
+        start += len(rows)
 
 
 def iter_trace(
@@ -1083,11 +842,11 @@ def iter_trace(
     for every (profile, num_instructions, seed); chunking only decides
     where the block boundaries fall.
 
-    Plain profiles drain the columnar walk
-    (:func:`_walk_trace_columns`), so every chunk is column-backed and
-    the batch kernel consumes it zero-copy; the per-instruction object
-    view materializes lazily where a consumer asks for it. Composite
-    workloads provide an
+    Plain profiles run the walk through :func:`_walk_chunks` (the C
+    walker, or the packed reference walk as the recorded fallback), so
+    every chunk is column-backed and the batch kernel consumes it
+    zero-copy; the per-instruction object view materializes lazily
+    where a consumer asks for it. Composite workloads provide an
     ``iter_trace_chunks(num_instructions, seed, chunk_size)`` hook
     (e.g. :meth:`repro.scenarios.phased.PhasedProfile.iter_trace_chunks`,
     which streams its member sources); profiles with only the legacy
@@ -1104,7 +863,7 @@ def iter_trace(
     build = getattr(profile, "build_trace", None)
     if build is not None:
         return chunk_instructions(build(num_instructions, seed), chunk_size)
-    return _walk_trace_columns(
+    return _walk_chunks(
         profile, num_instructions, seed, check_chunk_size(chunk_size)
     )
 
@@ -1133,11 +892,10 @@ def generate_trace(
     build = getattr(profile, "build_trace", None)
     if build is not None:
         return build(num_instructions, seed)
-    # Drain the columnar walk and materialize: even paying the object
-    # view, this beats the per-instruction reference walk, and it keeps
-    # one generator as the single source for both APIs.
+    # Materialize the chunked walk: one generator stays the single
+    # source for both APIs, and the engine choice is recorded once.
     trace: List[TraceInstruction] = []
-    for chunk in _walk_trace_columns(
+    for chunk in _walk_chunks(
         profile, num_instructions, seed, DEFAULT_CHUNK_SIZE
     ):
         trace += chunk.instructions

@@ -125,7 +125,7 @@ class BatchReport:
     #: Which backend ran the pending jobs ("" for an all-warm batch —
     #: no backend was consulted at all).
     backend: str = ""
-    #: Per-stage wall time (generate/decode/kernel/pricing seconds)
+    #: Per-stage wall time (generate/kernel/pricing seconds)
     #: accrued while this batch executed — the simulation stages of
     #: :mod:`repro.util.stagetime`. Serial and inline-pool runs measure
     #: directly; pool workers return their deltas with each result; SSH
@@ -226,7 +226,7 @@ def telemetry_lines() -> List[str]:
     """The ``--verbose`` per-backend counter lines, sorted by backend.
 
     Backends that accrued simulation stage time get a second line with
-    the generate/decode/kernel/pricing wall-time split, and backends
+    the generate/kernel/pricing wall-time split, and backends
     that executed jobs a third with the per-job latency quantiles, a
     fourth with the kernels and trace engines that ran, and one line per
     fallback reason.

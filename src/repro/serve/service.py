@@ -64,6 +64,15 @@ BATCH_JOBS_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 _MAX_BODY_BYTES = 1 << 20  # a request is parameters, never bulk data
 
+
+class _BadRequest(ValueError):
+    """A malformed request answered with ``status`` instead of 400."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 Notify = Callable[[Dict[str, Any]], Awaitable[None]]
 
 
@@ -228,9 +237,18 @@ class EvaluationService:
     ) -> None:
         try:
             try:
-                method, path, body = await self._read_request(reader)
-            except (asyncio.IncompleteReadError, ConnectionError, ValueError):
+                request = await self._read_request(reader)
+            except (asyncio.IncompleteReadError, ConnectionError):
                 return
+            except ValueError as error:
+                # Malformed input gets a status, never a dropped connection.
+                obs_metrics.registry().counter("serve.errors").inc()
+                status = error.status if isinstance(error, _BadRequest) else 400
+                await self._respond_json(writer, status, {"error": str(error)})
+                return
+            if request is None:  # the client sent nothing at all
+                return
+            method, path, body = request
             if method == "GET" and path == "/healthz":
                 await self._respond_json(
                     writer,
@@ -265,24 +283,38 @@ class EvaluationService:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, bytes]:
+    ) -> Optional[Tuple[str, str, bytes]]:
+        """Parse one request, or ``None`` when the client sent nothing.
+
+        Headers are read in full before any check, so a refusal is
+        answered on a drained connection. Malformed input raises
+        :class:`ValueError` (``readline`` raises it too, for an overlong
+        line); :class:`_BadRequest` carries a status other than 400.
+        """
         request_line = (await reader.readline()).decode("latin-1").strip()
         if not request_line:
-            raise ValueError("empty request")
-        parts = request_line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed request line {request_line!r}")
-        method, path, _version = parts
-        content_length = 0
+            return None
+        length_text = "0"
         while True:
             line = (await reader.readline()).decode("latin-1").strip()
             if not line:
                 break
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
+                length_text = value.strip()
+        parts = request_line.split()
+        if len(parts) != 3:
+            raise ValueError(f"malformed request line {request_line!r}")
+        method, path, _version = parts
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise ValueError(f"malformed Content-Length {length_text!r}")
+        content_length = int(length_text)
         if content_length > _MAX_BODY_BYTES:
-            raise ValueError(f"body too large ({content_length} bytes)")
+            raise _BadRequest(
+                413,
+                f"body too large ({content_length} bytes, "
+                f"limit {_MAX_BODY_BYTES})",
+            )
         body = await reader.readexactly(content_length) if content_length else b""
         return method, path, body
 
@@ -290,7 +322,13 @@ class EvaluationService:
         self, writer: asyncio.StreamWriter, status: int, document: Dict[str, Any]
     ) -> None:
         payload = (json.dumps(document, sort_keys=True) + "\n").encode()
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed"}
+        reason = {
+            200: "OK",
+            400: "Bad Request",
+            404: "Not Found",
+            405: "Method Not Allowed",
+            413: "Content Too Large",
+        }
         writer.write(
             (
                 f"HTTP/1.1 {status} {reason.get(status, 'Error')}\r\n"

@@ -1,10 +1,9 @@
 """Process-wide per-stage wall-time accounting for simulation runs.
 
-The columnar batch path splits a run into four stages — ``generate``
-(pulling the next trace chunk out of the walker), ``decode`` (turning a
-chunk into the kernel's typed columns; ~zero for column-backed chunks),
-``kernel`` (the C cycle loop), and ``pricing`` (statistics assembly and
-the closed-loop pricing walk). This module is the accumulator they
+The columnar batch path splits a run into three stages — ``generate``
+(pulling the next trace chunk out of the walker), ``kernel`` (the C
+cycle loop), and ``pricing`` (statistics assembly and the closed-loop
+pricing walk). This module is the accumulator they
 report into: a flat ``stage -> seconds`` map with snapshot/delta
 helpers, so :func:`repro.exec.engine.run_jobs` can attribute exactly
 the time spent inside one batch to that batch's
@@ -52,7 +51,7 @@ __all__ = [
 
 #: Canonical stage names in pipeline order (other names are allowed;
 #: these are the ones the batch path reports and the CLIs print).
-STAGES = ("generate", "decode", "kernel", "pricing")
+STAGES = ("generate", "kernel", "pricing")
 
 #: Registry namespace: stage ``generate`` is counter
 #: ``stage_seconds.generate`` in :func:`repro.obs.metrics.registry`.

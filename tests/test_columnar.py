@@ -1,15 +1,18 @@
 """The columnar-equivalence gate (CI) plus TraceChunk machinery units.
 
 The keystone contract of the columnar trace pipeline: the column-backed
-generators — the pure-Python columnar drain and the compiled C trace
-walker — reproduce the per-instruction reference walk *digest-identical*
+chunk streams — from the compiled C trace walker, and from the
+no-compiler fallback that packs the reference walk into the same chunks
+— reproduce the per-instruction reference walk *digest-identical*
 (:func:`~repro.cpu.trace.trace_digest` over every field of every slot),
 for every seed benchmark, for sampled scenarios, and for phased
-composites, across chunk sizes. Digest identity is strictly stronger
-than the float-equality the simulation gates assert: two traces with
-the same digest are the same sequence of integers, so *any* consumer —
-either pipeline kernel, any statistic, any future analysis — is
-automatically unaffected by which generator produced them.
+composites, across chunk sizes. Each gate runs once on the default
+engine and once with the walker forced unavailable. Digest identity is
+strictly stronger than the float-equality the simulation gates assert:
+two traces with the same digest are the same sequence of integers, so
+*any* consumer — either pipeline kernel, any statistic, any future
+analysis — is automatically unaffected by which generator produced
+them.
 
 The simulation half closes the loop end-to-end: column-backed chunks
 fed zero-copy to the batch kernel produce results ``==`` the walked
@@ -29,6 +32,7 @@ from array import array
 
 import pytest
 
+from repro.cpu import _trace_build
 from repro.cpu._trace_build import (
     trace_kernel_available,
     trace_kernel_unavailable_reason,
@@ -39,7 +43,6 @@ from repro.cpu.kernel import (
     KERNEL_WALK,
     batch_kernel_available,
     chunk_trace,
-    decode_chunk,
     run_batch,
 )
 from repro.cpu.pipeline import Pipeline
@@ -60,6 +63,7 @@ from repro.cpu.workloads import (
     get_benchmark,
     iter_trace,
 )
+from repro.obs import metrics
 from repro.scenarios import sample_scenarios
 from repro.scenarios.phased import PhasedProfile
 
@@ -74,6 +78,33 @@ def _phased(name="columnar-mix"):
         (get_benchmark("gcc"), get_benchmark("mcf"), get_benchmark("vortex")),
         (700, 333, 1009),
     )
+
+
+#: Trace engines every digest gate runs on: whatever ``iter_trace``
+#: picks here (the C walker where it builds), and the recorded
+#: no-compiler fallback.
+ENGINES = ("default", "fallback")
+
+#: The reason the forced fallback reports.
+FORCED_REASON = "trace kernel unavailable: forced by the test"
+
+
+def _force_fallback(monkeypatch):
+    """Make the C walker unusable, as a missing compiler does."""
+    monkeypatch.setattr(
+        _trace_build, "trace_kernel_unavailable_reason", lambda: FORCED_REASON
+    )
+
+
+def _use_engine(engine, monkeypatch):
+    if engine == "fallback":
+        _force_fallback(monkeypatch)
+
+
+def _engines_since(before):
+    """Trace engines and fallbacks recorded since a registry snapshot."""
+    delta = metrics.registry().delta_since(before)
+    return metrics.engines_used(delta.get("counters", {}))
 
 
 def _drain(chunks):
@@ -91,40 +122,36 @@ def _drain(chunks):
 class TestColumnarDigestGate:
     """Columnar generation == the reference walk, digest for digest."""
 
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", benchmark_names())
-    def test_all_benchmarks(self, name):
+    def test_all_benchmarks(self, name, engine, monkeypatch):
         profile = get_benchmark(name)
         reference = trace_digest(list(_walk_trace(profile, 20_000, 7)))
+        _use_engine(engine, monkeypatch)
         for chunk_size in (64, 1_024, 20_000):
             columnar = _drain(
                 iter_trace(profile, 20_000, seed=7, chunk_size=chunk_size)
             )
             assert trace_digest(columnar) == reference, (name, chunk_size)
 
-    @pytest.mark.parametrize("name", ("gcc", "health"))
-    def test_python_drain_matches_reference(self, name, monkeypatch):
-        """The pure-Python columnar drain (the no-compiler fallback,
-        forced via ``REPRO_TRACE_ENGINE=python``) is digest-identical
-        to the reference walk — and therefore to the C walker, which
-        the previous test pins to the same reference."""
-        profile = get_benchmark(name)
-        reference = trace_digest(list(_walk_trace(profile, 15_000, 3)))
-        monkeypatch.setenv("REPRO_TRACE_ENGINE", "python")
-        columnar = _drain(iter_trace(profile, 15_000, seed=3))
-        assert trace_digest(columnar) == reference
-
     @pytest.mark.skipif(
         not trace_kernel_available(),
         reason=f"no trace kernel: {trace_kernel_unavailable_reason()}",
     )
-    def test_c_walker_matches_python_drain(self, monkeypatch):
-        """Direct C-vs-Python comparison on one benchmark (both are
-        pinned to the reference walk above; this asserts the dispatch
-        itself switches engines without changing the stream)."""
+    def test_c_walker_matches_fallback(self, monkeypatch):
+        """Direct C-vs-fallback comparison on one benchmark: the engine
+        dispatch switches engines without changing the stream, and the
+        fallback is recorded with its reason."""
         profile = get_benchmark("mcf")
+        before = metrics.registry().snapshot()
         c_digest = trace_digest(_drain(iter_trace(profile, 30_000, seed=9)))
-        monkeypatch.setenv("REPRO_TRACE_ENGINE", "python")
+        assert _engines_since(before)["trace_engines"] == {"c": 1}
+        _force_fallback(monkeypatch)
+        before = metrics.registry().snapshot()
         py_digest = trace_digest(_drain(iter_trace(profile, 30_000, seed=9)))
+        used = _engines_since(before)
+        assert used["trace_engines"] == {"python": 1}
+        assert used["fallbacks"] == [FORCED_REASON]
         assert c_digest == py_digest
 
     def test_generate_trace_matches_reference(self):
@@ -134,18 +161,26 @@ class TestColumnarDigestGate:
             trace_digest(reference)
         )
 
-    def test_sampled_scenarios(self):
-        for scenario in sample_scenarios(4, seed=17):
-            profile = scenario.profile
-            columnar = _drain(iter_trace(profile, 8_000, seed=2))
-            reference = generate_trace(profile, 8_000, seed=2)
-            assert trace_digest(columnar) == trace_digest(reference)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_sampled_scenarios(self, engine, monkeypatch):
+        scenarios = sample_scenarios(4, seed=17)
+        references = [
+            trace_digest(generate_trace(scenario.profile, 8_000, seed=2))
+            for scenario in scenarios
+        ]
+        _use_engine(engine, monkeypatch)
+        for scenario, reference in zip(scenarios, references):
+            columnar = _drain(iter_trace(scenario.profile, 8_000, seed=2))
+            assert trace_digest(columnar) == reference
 
-    def test_phased_composite(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_phased_composite(self, engine, monkeypatch):
         """The columnar member-relocating interleave == the object
-        interleave (``build_trace``), chunk boundaries included."""
+        interleave (``build_trace``, on the default engine), chunk
+        boundaries included."""
         profile = _phased()
         reference = profile.build_trace(25_000, seed=11)
+        _use_engine(engine, monkeypatch)
         for chunk_size in (64, 1_024, 25_000):
             chunks = list(
                 profile.iter_trace_chunks(25_000, seed=11, chunk_size=chunk_size)
@@ -160,14 +195,18 @@ class TestColumnarDigestGate:
 # -- the packed-program memo ----------------------------------------------------
 
 
-@pytest.mark.skipif(
+_needs_trace_kernel = pytest.mark.skipif(
     not trace_kernel_available(),
     reason=f"no trace kernel: {trace_kernel_unavailable_reason()}",
 )
+
+
 class TestPackedProgramMemo:
     """The C walker's static tables are built once per (profile, seed)
-    and shared across walks without changing a single trace slot."""
+    and shared across walks without changing a single trace slot; both
+    engines cut chunks at the same boundaries."""
 
+    @_needs_trace_kernel
     def test_results_equal_cold_and_warm(self):
         profile = get_benchmark("vortex")
         _packed_program.cache_clear()
@@ -180,6 +219,7 @@ class TestPackedProgramMemo:
         assert warm_digest == cold_digest
         assert cold_digest == trace_digest(list(_walk_trace(profile, 6_000, 4)))
 
+    @_needs_trace_kernel
     def test_lru_stays_bounded(self):
         _packed_program.cache_clear()
         profile = get_benchmark("gzip")
@@ -189,6 +229,7 @@ class TestPackedProgramMemo:
         assert info.maxsize == _PACKED_MEMO_SIZE <= 16
         assert info.currsize == _PACKED_MEMO_SIZE
 
+    @_needs_trace_kernel
     def test_same_name_profiles_do_not_collide(self):
         base = get_benchmark("gcc")
         twin = dataclasses.replace(base, num_blocks=base.num_blocks // 2)
@@ -209,8 +250,11 @@ class TestPackedProgramMemo:
             (1_001, 500, [500, 500, 1]),
         ],
     )
-    def test_chunk_boundaries(self, length, chunk_size, sizes):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_chunk_boundaries(self, length, chunk_size, sizes, engine, monkeypatch):
         profile = get_benchmark("mcf")
+        _use_engine(engine, monkeypatch)
+        before = metrics.registry().snapshot()
         for _ in range(2):  # memo cold, then warm
             chunks = list(iter_trace(profile, length, seed=8, chunk_size=chunk_size))
             assert [len(c) for c in chunks] == sizes
@@ -220,6 +264,10 @@ class TestPackedProgramMemo:
             assert trace_digest(_drain(chunks)) == trace_digest(
                 list(_walk_trace(profile, length, 8))
             )
+        if engine == "fallback":
+            used = _engines_since(before)
+            assert used["trace_engines"] == {"python": 2}
+            assert used["fallbacks"] == [FORCED_REASON]
 
 
 # -- the simulation gate --------------------------------------------------------
@@ -285,14 +333,6 @@ class TestColumnarSimulationGate:
         walk = Simulator(profile, seed=11, kernel=KERNEL_WALK).run(6_000)
         batch = Simulator(profile, seed=11, kernel=KERNEL_BATCH).run(6_000)
         assert batch.stats == walk.stats
-
-    def test_decode_is_zero_copy_for_columnar_chunks(self):
-        """The fast path really is pass-through: the arrays the kernel
-        receives ARE the chunk's columns, no copies, no projection."""
-        chunk = next(iter(iter_trace(get_benchmark("gcc"), 1_000, seed=1)))
-        assert chunk.is_columnar
-        decoded = decode_chunk(chunk)
-        assert all(a is b for a, b in zip(decoded, chunk.columns))
 
 
 # -- TraceChunk machinery units -------------------------------------------------

@@ -432,27 +432,25 @@ class TestWorkerStamping:
 
 
 class TestProtocolNegotiation:
-    """Wire protocol v2: the hello/metrics relay and version skew."""
+    """Wire protocol v2: the hello/metrics relay and the version check."""
 
     def test_ready_frame_advertises_proto(self):
         assert worker_mod.ready_frame()["proto"] == worker_mod.PROTOCOL_VERSION
 
-    def test_env_pins_legacy_proto(self, monkeypatch):
-        monkeypatch.setenv(worker_mod.ENV_WORKER_PROTO, "1")
-        assert "proto" not in worker_mod.ready_frame()
-        assert worker_mod.protocol_version() == 1
-
-    def test_env_garbage_ignored(self, monkeypatch):
-        monkeypatch.setenv(worker_mod.ENV_WORKER_PROTO, "banana")
-        assert worker_mod.protocol_version() == worker_mod.PROTOCOL_VERSION
-
-    def test_validate_ready_returns_advertised_proto(self):
+    @pytest.mark.parametrize("proto", [None, 1, 3, "2"])
+    def test_proto_skew_refused(self, proto):
+        """A ready frame without this checkout's exact protocol version is
+        refused like a stale fingerprint, naming both versions."""
         frame = worker_mod.ready_frame()
-        assert validate_ready(frame, "h") == worker_mod.PROTOCOL_VERSION
-        del frame["proto"]
-        assert validate_ready(frame, "h") == 1
-        frame["proto"] = "weird"
-        assert validate_ready(frame, "h") == 1
+        if proto is None:
+            del frame["proto"]
+        else:
+            frame["proto"] = proto
+        with pytest.raises(BackendError, match="wire protocol") as refused:
+            validate_ready(frame, "hostA")
+        message = str(refused.value)
+        assert repr(proto) in message
+        assert repr(worker_mod.PROTOCOL_VERSION) in message
 
     def test_hello_negotiates_metrics_frames(self):
         from repro.obs import tracer
@@ -500,38 +498,9 @@ class TestProtocolNegotiation:
         )
         assert [f["kind"] for f in frames] == ["ready", "result", "bye"]
 
-    def test_legacy_worker_treats_hello_as_unknown_frame(self, monkeypatch):
-        monkeypatch.setenv(worker_mod.ENV_WORKER_PROTO, "1")
-        code, frames = _drive_worker(
-            {"kind": "hello", "proto": 2, "metrics": True},
-            {"kind": "shutdown"},
-        )
-        # Exactly why the engine never sends hello to a v1 worker: the
-        # reply would be an error frame in place of a result.
-        assert [f["kind"] for f in frames] == ["ready", "error", "bye"]
-
-    def test_legacy_worker_batch_degrades_gracefully(
-        self, fresh_cache, monkeypatch
-    ):
-        """Version skew end-to-end: an old-proto worker still executes
-        the batch correctly; the coordinator just gets no telemetry."""
-        from repro.util import stagetime
-
-        monkeypatch.setenv(worker_mod.ENV_WORKER_PROTO, "1")
-        reset_telemetry()
-        stagetime.reset()
-        report = BatchReport()
-        results = run_jobs(
-            _jobs(), backend="ssh:localhost", use_cache=False, report=report
-        )
-        assert [r.workload_name for r in results] == ["gzip", "mcf", "mst"]
-        assert report.executed == 3
-        assert report.stage_seconds == {}  # nothing relayed
-        assert report.latency_quantiles == {}
-
 
 class TestObservabilityRelay:
-    """v2 workers relay stage seconds, latency, and spans end-to-end."""
+    """Workers relay stage seconds, latency, and spans end-to-end."""
 
     def test_ssh_stage_report_matches_serial_shape(self, fresh_cache):
         """The closed SSH telemetry gap: --verbose stage seconds after an

@@ -46,6 +46,7 @@ from repro.core.policies import (
     run_policy_on_intervals,
 )
 from repro.core.vectorized import exact_weighted_sum
+from repro.cpu import _trace_build
 from repro.cpu.stream import MIN_CHUNK_SIZE, StreamingTrace
 from repro.cpu.trace import trace_digest
 from repro.cpu.workloads import (
@@ -396,7 +397,8 @@ class TestChunkBoundaryInvarianceRandomized:
 
 
 class TestColumnarDigestRandomized:
-    """The columnar drain mirrors the reference walk draw for draw.
+    """The column-backed trace stream mirrors the reference walk draw
+    for draw, on the C walker and on the no-compiler fallback alike.
 
     For random profiles (every generation knob perturbed across its
     legal range) and random chunk sizes: the column-backed chunk stream
@@ -448,13 +450,13 @@ class TestColumnarDigestRandomized:
         assert trace_digest(columnar) == trace_digest(reference)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_python_drain_matches_c_walker_on_random_profiles(
+    def test_fallback_matches_c_walker_on_random_profiles(
         self, seed, monkeypatch
     ):
         """Engine dispatch can never change the stream: the same random
-        profile generated with and without ``REPRO_TRACE_ENGINE=python``
-        yields one digest (a no-op comparison where no compiler exists,
-        since both runs then use the Python drain)."""
+        profile generated on the default engine and with the C walker
+        forced unavailable yields one digest (a no-op comparison where
+        no compiler exists, since both runs then use the fallback)."""
         rng = random.Random(9_100 + seed)
         profile = self._random_profile(rng)
         length = rng.randint(500, 5_000)
@@ -466,7 +468,11 @@ class TestColumnarDigestRandomized:
                 for instr in chunk.instructions
             ]
         )
-        monkeypatch.setenv("REPRO_TRACE_ENGINE", "python")
+        monkeypatch.setattr(
+            _trace_build,
+            "trace_kernel_unavailable_reason",
+            lambda: "trace kernel unavailable: forced by the test",
+        )
         forced = trace_digest(
             [
                 instr

@@ -163,6 +163,35 @@ class TestServiceLifecycle:
         assert response.status == 404
         connection.close()
 
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            (b"POST /v1/run HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+            (b"POST /v1/run HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"POST /v1/run HTTP/1.1\r\nContent-Length: 2097152\r\n\r\n", 413),
+            (b"GARBAGE\r\n\r\n", 400),
+        ],
+    )
+    def test_malformed_http_gets_a_status(self, serve_url, raw, status):
+        """Malformed HTTP is answered with a status, not a dropped
+        connection, and counted as a serve error."""
+        import json
+        import socket
+        import urllib.parse
+
+        parsed = urllib.parse.urlsplit(serve_url)
+        before = obs_metrics.registry().snapshot()
+        with socket.create_connection((parsed.hostname, parsed.port), timeout=10) as sock:
+            sock.sendall(raw)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
+        assert "error" in json.loads(body)
+        delta = obs_metrics.registry().delta_since(before)
+        assert delta["counters"]["serve.errors"] == 1.0
+
     def test_malformed_payload_is_400(self, serve_url):
         with pytest.raises(serve_client.ServeClientError, match="unknown kind"):
             serve_client.run_remote(serve_url, {"kind": "mystery"})

@@ -59,8 +59,8 @@ class TestAccumulator:
 
     def test_absorb(self):
         stagetime.add("kernel", 1.0)
-        stagetime.absorb({"kernel": 0.5, "decode": 0.1})
-        assert stagetime.totals() == {"kernel": 1.5, "decode": 0.1}
+        stagetime.absorb({"kernel": 0.5, "generate": 0.1})
+        assert stagetime.totals() == {"kernel": 1.5, "generate": 0.1}
 
     def test_absorb_into_external_map(self):
         tally = {"kernel": 1.0}
