@@ -1,9 +1,10 @@
 """Command-line interface: ``python -m repro.cli <experiment> [--quick]``.
 
-Lists and runs the paper's experiments by name. ``all`` runs the full
-set (equivalent to ``python -m repro.experiments.runner``); ``sweep``
-evaluates a policy grid (``--p-grid`` x ``--alpha-grid`` x
-``--policies``) over the benchmark suite with the vectorized engine;
+Lists and runs the paper's experiments by name
+(:data:`repro.experiments.runner.EXPERIMENTS`); ``all`` runs the full
+set in the paper's order; ``sweep`` evaluates a policy grid
+(``--p-grid`` x ``--alpha-grid`` x ``--policies``) over the benchmark
+suite with the vectorized engine;
 ``perf`` runs the closed-loop study — policies inside the pipeline,
 sleeping units stalling issue on the wakeup latency — and reports
 energy savings against the measured IPC slowdown; ``robustness``
@@ -64,9 +65,11 @@ for humans.
 service: an asyncio HTTP/JSON server that answers sweep/perf/robustness
 /simulate requests from warm caches, coalesces duplicate concurrent
 requests onto one execution, and folds concurrent cache misses into
-single engine batches. ``--server URL`` turns the sweep/perf/robustness
-subcommands into thin clients of such a service; their stdout stays
-byte-identical to a local run.
+single engine batches. ``sweep``, ``perf`` and ``robustness`` build one
+:mod:`repro.serve.schema` request from their flags, which checks and
+defaults every parameter; they run it in-process, or with ``--server
+URL`` send it to such a service, so both print the same bytes and reject
+the same bad input (exit status 2, the reason on stderr).
 """
 
 from __future__ import annotations
@@ -75,43 +78,21 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict
 
 from repro import package_version
 from repro.obs import tracer
-from repro.experiments import (
-    ablations,
-    figure3,
-    figure4,
-    figure5,
-    figure7,
-    figure8,
-    figure9,
-    perf_impact,
-    robustness,
-    runner,
-    sweep,
-    table1,
-    table3,
-)
-from repro.experiments.common import DEFAULT_SCALE, QUICK_SCALE, ExperimentScale
+from repro.experiments import perf_impact, robustness, runner, sweep
+from repro.experiments.common import DEFAULT_SCALE, QUICK_SCALE
 from repro.scenarios import family_names, write_catalog
 from repro.scenarios.space import PHASED_FAMILY
+from repro.serve import RequestError, build_request, payload_from_args
 from repro.serve import service as serve_defaults
 
+#: The paper-artifact subcommands, rendered by name.
+_RENDERERS = {name: render for name, _title, render in runner.EXPERIMENTS}
 
-def _registry(scale: ExperimentScale) -> Dict[str, Callable[[], str]]:
-    return {
-        "table1": lambda: table1.render(table1.run()),
-        "figure3": lambda: figure3.render(figure3.run()),
-        "figure4": lambda: figure4.render(figure4.run()),
-        "figure5": lambda: figure5.render(figure5.run()),
-        "figure7": lambda: figure7.render(figure7.run(scale=scale)),
-        "figure8": lambda: figure8.render(figure8.run(scale=scale)),
-        "figure9": lambda: figure9.render(figure9.run(scale=scale)),
-        "table3": lambda: table3.render(table3.run(scale=scale)),
-        "ablations": lambda: ablations.render_all(scale=scale),
-    }
+#: Subcommands that run one schema request, locally or on ``--server``.
+SERVABLE = ("sweep", "perf", "robustness")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_registry(DEFAULT_SCALE))
+        choices=sorted(_RENDERERS)
         + ["perf", "robustness", "sweep", "all", "cache", "report", "serve", "list"],
         help="experiment to run, 'sweep' for a policy-grid sweep, 'perf' "
         "for the closed-loop energy-vs-slowdown study, 'robustness' for "
@@ -300,78 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_names(spec: str) -> tuple:
-    return tuple(name.strip() for name in spec.split(",") if name.strip())
-
-
-def _run_sweep(args: argparse.Namespace, scale: ExperimentScale) -> str:
-    grid = sweep.SweepGrid(
-        p_values=sweep.parse_grid(args.p_grid or sweep.DEFAULT_P_SPEC),
-        alphas=sweep.parse_grid(args.alpha_grid),
-        policies=_split_names(args.policies or ",".join(sweep.DEFAULT_POLICIES)),
-    )
-    result = sweep.run(
-        scale=scale,
-        grid=grid,
-        benchmarks=_split_names(args.benchmarks),
-        jobs=args.jobs,
-    )
-    return sweep.render(result)
-
-
-def _run_robustness(args: argparse.Namespace, scale: ExperimentScale) -> str:
-    families = _split_names(args.families) or None
-    policies = _split_names(
-        args.policies or ",".join(robustness.DEFAULT_ROBUSTNESS_POLICIES)
-    )
-    result = robustness.run(
-        scale=scale,
-        count=args.scenarios,
-        seed=args.scenario_seed,
-        families=families,
-        policies=policies,
-        p=args.p,
-        alpha=(
-            args.alpha
-            if args.alpha is not None
-            else robustness.DEFAULT_ROBUSTNESS_ALPHA
-        ),
-        instructions=args.instructions,
-        jobs=args.jobs,
-    )
-    if args.catalog is not None:
-        # Serialize the scenarios the run actually evaluated, so the
-        # catalog can never drift from the report it accompanies.
-        write_catalog(result.scenarios, args.catalog)
-    return robustness.render(result)
-
-
-def _run_perf(args: argparse.Namespace, scale: ExperimentScale) -> str:
-    policies = _split_names(
-        args.policies or ",".join(perf_impact.DEFAULT_PERF_POLICIES)
-    )
-    p_values = (
-        sweep.parse_grid(args.p_grid)
-        if args.p_grid
-        else perf_impact.DEFAULT_P_VALUES
-    )
-    latencies = tuple(
-        int(token) for token in _split_names(args.wakeup_latencies)
-    )
-    result = perf_impact.run(
-        scale=scale,
-        policies=policies,
-        p_values=p_values,
-        alpha=(
-            args.alpha if args.alpha is not None else perf_impact.DEFAULT_ALPHA
-        ),
-        wakeup_latencies=latencies,
-        benchmarks=_split_names(args.benchmarks) or None,
-        jobs=args.jobs,
-    )
-    return perf_impact.render(result)
-
-
 #: The machine-readable ``repro cache --json`` document schema tag.
 CACHE_REPORT_SCHEMA = "repro.cache-report/1"
 
@@ -452,13 +361,28 @@ def _run_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
-#: Subcommands the ``--server URL`` thin-client mode can run remotely.
-SERVABLE = ("sweep", "perf", "robustness")
+def _run_request(args: argparse.Namespace) -> int:
+    """``repro sweep|perf|robustness``: one request, run here or remotely."""
+    payload = payload_from_args(args.experiment, args)
+    if args.server is not None:
+        return _run_remote(args.server, payload)
+    try:
+        request = build_request(payload)
+    except RequestError as error:
+        print(f"repro {args.experiment}: {error}", file=sys.stderr)
+        return 2
+    result = request.run()
+    if args.experiment == "robustness" and args.catalog is not None:
+        # Serialize the scenarios the run actually evaluated, so the
+        # catalog can never drift from the report it accompanies.
+        write_catalog(result.scenarios, args.catalog)
+    print(request.render(result))
+    return 0
 
 
-def _run_remote(args: argparse.Namespace) -> int:
+def _run_remote(server: str, payload: dict) -> int:
     """Thin-client mode: ship the request to a ``repro serve`` instance."""
-    from repro.serve import client, payload_from_args
+    from repro.serve import client
 
     def progress(event):
         name = event.get("event")
@@ -474,9 +398,7 @@ def _run_remote(args: argparse.Namespace) -> int:
             )
 
     try:
-        result = client.run_remote(
-            args.server, payload_from_args(args.experiment, args), on_event=progress
-        )
+        result = client.run_remote(server, payload, on_event=progress)
     except client.ServeClientError as error:
         print(f"repro --server: {error}", file=sys.stderr)
         return 2
@@ -486,30 +408,20 @@ def _run_remote(args: argparse.Namespace) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     scale = QUICK_SCALE if args.quick else DEFAULT_SCALE
-    registry = _registry(scale)
     if args.experiment == "serve":
         from repro.serve.service import run_service
 
         return run_service(
             host=args.serve_host, port=args.port, batch_window=args.batch_window
         )
-    if args.server is not None:
-        return _run_remote(args)
+    if args.experiment in SERVABLE:
+        return _run_request(args)
     if args.experiment == "cache":
         return _run_cache(args)
     if args.experiment == "all":
         runner.run_all(scale, jobs=args.jobs)
         return 0
-    if args.experiment == "sweep":
-        print(_run_sweep(args, scale))
-        return 0
-    if args.experiment == "perf":
-        print(_run_perf(args, scale))
-        return 0
-    if args.experiment == "robustness":
-        print(_run_robustness(args, scale))
-        return 0
-    print(registry[args.experiment]())
+    print(_RENDERERS[args.experiment](scale))
     return 0
 
 
@@ -559,7 +471,7 @@ def _main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate_action(args, parser)
     if args.experiment == "list":
-        for name in sorted(_registry(DEFAULT_SCALE)) + ["perf", "robustness", "sweep"]:
+        for name in sorted(_RENDERERS) + ["perf", "robustness", "sweep"]:
             print(name)
         return 0
     if args.experiment == "report":

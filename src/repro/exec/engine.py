@@ -148,11 +148,6 @@ class BatchReport:
     fallbacks: List[str] = field(default_factory=list)
 
 
-def _stamp_defaults(job: SimulationJob) -> SimulationJob:
-    """Back-compat alias for :meth:`SimulationJob.with_stamped_defaults`."""
-    return job.with_stamped_defaults()
-
-
 # -- per-backend telemetry -----------------------------------------------------
 
 #: Process-wide counters, one aggregate per backend name (plus "(warm)"

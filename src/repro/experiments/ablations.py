@@ -390,11 +390,3 @@ def render_all(scale: ExperimentScale = DEFAULT_SCALE) -> str:
         )
     )
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render_all())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

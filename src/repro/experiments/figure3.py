@@ -73,11 +73,3 @@ def render(result: Figure3Result) -> str:
         for alpha, be in sorted(result.breakeven_cycles.items())
     )
     return table + notes
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -140,11 +140,3 @@ def render(result: Figure7Result) -> str:
         title="Figure 7: fraction of total time ALUs are idle, by interval length",
     )
     return table + "".join(notes)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,11 +1,9 @@
 """Run every experiment and print the paper's tables and figures.
 
-Usage::
-
-    python -m repro.experiments.runner                 # full scale, serial
-    python -m repro.experiments.runner --quick         # reduced windows
-    python -m repro.experiments.runner --jobs 4        # fan out across cores
-    python -m repro.experiments.runner --no-cache      # ignore the disk cache
+:data:`EXPERIMENTS` is the one registry of the paper's artifacts: the
+``repro <name>`` subcommands, ``repro list`` and ``repro all``'s
+section order all read it. ``repro all [--quick] [--jobs N]`` is
+:func:`run_all`.
 
 Before rendering, the runner enumerates every simulation any experiment
 will need at the requested scale and submits them to the execution
@@ -38,26 +36,24 @@ from repro.exec.engine import (
 from repro.exec.jobs import SimulationJob
 from repro.experiments import ablations, figure3, figure4, figure5, figure7
 from repro.experiments import figure8, figure9, sweep, table1, table3
-from repro.experiments.common import (
-    DEFAULT_SCALE,
-    QUICK_SCALE,
-    ExperimentScale,
-    benchmark_jobs,
+from repro.experiments.common import DEFAULT_SCALE, ExperimentScale, benchmark_jobs
+
+
+#: The paper's artifacts in ``repro all`` order: (CLI name, section
+#: title, scale -> rendered text). Each entry looks its module's
+#: ``run``/``render`` up at call time, so rebinding those module
+#: attributes (as profiling wrappers do) takes effect.
+EXPERIMENTS: Tuple[Tuple[str, str, Callable[[ExperimentScale], str]], ...] = (
+    ("table1", "Table 1", lambda scale: table1.render(table1.run())),
+    ("figure3", "Figure 3", lambda scale: figure3.render(figure3.run())),
+    ("figure4", "Figure 4", lambda scale: figure4.render(figure4.run())),
+    ("figure5", "Figure 5", lambda scale: figure5.render(figure5.run())),
+    ("table3", "Table 3", lambda scale: table3.render(table3.run(scale=scale))),
+    ("figure7", "Figure 7", lambda scale: figure7.render(figure7.run(scale=scale))),
+    ("figure8", "Figure 8", lambda scale: figure8.render(figure8.run(scale=scale))),
+    ("figure9", "Figure 9", lambda scale: figure9.render(figure9.run(scale=scale))),
+    ("ablations", "Ablations", lambda scale: ablations.render_all(scale=scale)),
 )
-
-
-def _experiments(scale: ExperimentScale) -> List[Tuple[str, Callable[[], str]]]:
-    return [
-        ("Table 1", lambda: table1.render(table1.run())),
-        ("Figure 3", lambda: figure3.render(figure3.run())),
-        ("Figure 4", lambda: figure4.render(figure4.run())),
-        ("Figure 5", lambda: figure5.render(figure5.run())),
-        ("Table 3", lambda: table3.render(table3.run(scale=scale))),
-        ("Figure 7", lambda: figure7.render(figure7.run(scale=scale))),
-        ("Figure 8", lambda: figure8.render(figure8.run(scale=scale))),
-        ("Figure 9", lambda: figure9.render(figure9.run(scale=scale))),
-        ("Ablations", lambda: ablations.render_all(scale=scale)),
-    ]
 
 
 def enumerate_jobs(scale: ExperimentScale) -> List[SimulationJob]:
@@ -127,12 +123,12 @@ def run_all(
             f"in {time.time() - start:.1f}s",
             file=sys.stderr,
         )
-    for name, runner in _experiments(scale):
+    for _, title, render in EXPERIMENTS:
         started = time.time()
-        text = runner()
-        print(f"[repro] {name} rendered in {time.time() - started:.1f}s",
+        text = render(scale)
+        print(f"[repro] {title} rendered in {time.time() - started:.1f}s",
               file=sys.stderr)
-        print(f"\n{'=' * 72}\n{name}\n{'=' * 72}", file=out)
+        print(f"\n{'=' * 72}\n{title}\n{'=' * 72}", file=out)
         print(text, file=out)
 
 
@@ -146,7 +142,7 @@ def _jobs_count(text: str) -> int:
 
 
 def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
-    """The execution-engine flags shared by this runner and the main CLI."""
+    """The execution-engine flags every ``repro`` subcommand accepts."""
     parser.add_argument(
         "--jobs",
         type=_jobs_count,
@@ -276,7 +272,6 @@ def finalize_observability(
 
     Writes the Chrome trace when ``--trace-out``/``$REPRO_TRACE_OUT``
     configured a path, and the run manifest when ``--run-manifest`` did.
-    Shared by this runner's ``main`` and the repro CLI.
     """
     if tracer.output_path():
         tracer.export_chrome_trace()
@@ -301,28 +296,3 @@ def print_telemetry(file=None) -> None:
         print("[repro] no simulation batches were submitted", file=out)
     for line in lines:
         print(line, file=out)
-
-
-def main(argv=None) -> int:
-    started = time.time()
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced simulation windows (for smoke testing)",
-    )
-    add_execution_arguments(parser)
-    args = parser.parse_args(argv)
-    apply_execution_arguments(args)
-    with tracer.span("cli.run_all", category="cli"):
-        run_all(QUICK_SCALE if args.quick else DEFAULT_SCALE, jobs=args.jobs)
-    if args.verbose:
-        print_telemetry()
-    finalize_observability(
-        args, list(argv) if argv is not None else sys.argv[1:], 0, started
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -79,11 +79,3 @@ def render(result: Table1Result) -> str:
         "modeled pessimistically as k=0.001, e_ovh=0.01)"
     )
     return table + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

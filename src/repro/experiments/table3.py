@@ -139,11 +139,3 @@ def render(result: Table3Result) -> str:
         + f"\nFU selection matches the paper on {result.num_matching}"
         + f"/{len(result.selections)} benchmarks"
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,20 +1,25 @@
-"""The evaluation service's request schema and normalization.
+"""The evaluation request schema: one argv -> parameters -> output path.
 
-A serve request is JSON::
+A request is JSON::
 
     {"kind": "sweep" | "perf" | "robustness" | "simulate",
      "quick": false,
      "params": {...}}
 
 :func:`build_request` validates the payload and normalizes it into a
-:class:`ServeRequest` — the same defaults, grid parsing, and name
-splitting the direct CLI applies, so a request built from CLI flags
-renders byte-identical text on the server. Normalization also gives
-every request a canonical identity: :attr:`ServeRequest.key` hashes the
-normalized parameters together with the sorted cache keys of every
-simulation the request needs (which already fold in the model
-fingerprint), so two requests coalesce exactly when they would hit the
-same cache entries and render the same report.
+:class:`ServeRequest`: every default, grid spec, name list and range
+check lives here, so ``repro sweep|perf|robustness`` (which builds its
+request with :func:`payload_from_args` and runs it in-process) and
+``repro serve`` (which runs it on behalf of a client) cannot disagree.
+Anything out of range or unknown raises :class:`RequestError` before
+any work runs.
+
+:attr:`ServeRequest.key` is the canonical coalescing identity the
+service reads: it hashes the normalized parameters together with the
+sorted cache keys of every simulation the request needs (which already
+fold in the model fingerprint), so two requests coalesce exactly when
+they would hit the same cache entries and render the same report. It is
+computed on first access, so a local run never pays for it.
 
 ``params`` by kind (all optional unless noted):
 
@@ -31,8 +36,12 @@ same cache entries and render the same report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Callable, Collection, Dict, List, Mapping, NamedTuple
+from typing import Sequence, Tuple
 
+from repro.core.parameters import TechnologyParameters, check_alpha
+from repro.core.sleep_control import POLICY_BUILDERS
 from repro.cpu.config import MachineConfig
 from repro.cpu.simulator import cached_result
 from repro.cpu.workloads import benchmark_names, get_benchmark
@@ -40,6 +49,9 @@ from repro.exec.hashing import canonical_key
 from repro.exec.jobs import SimulationJob
 from repro.experiments import perf_impact, robustness, sweep
 from repro.experiments.common import DEFAULT_SCALE, QUICK_SCALE, ExperimentScale
+from repro.scenarios.families import family_names
+from repro.scenarios.space import PHASED_FAMILY
+from repro.util.lookup import unknown_name_message
 
 #: Schema tag stamped into every canonical request key and health reply.
 SERVE_SCHEMA = "repro.serve/1"
@@ -48,7 +60,7 @@ KINDS = ("sweep", "perf", "robustness", "simulate")
 
 
 class RequestError(ValueError):
-    """A serve payload that cannot be normalized into a request."""
+    """A payload that cannot be normalized into a request."""
 
 
 def _names(value: Any, what: str) -> Tuple[str, ...]:
@@ -62,6 +74,24 @@ def _names(value: Any, what: str) -> Tuple[str, ...]:
             raise RequestError(f"{what} must be strings, got {value!r}")
         return tuple(value)
     raise RequestError(f"{what} must be a comma string or list, got {value!r}")
+
+
+def _known(names: Sequence[str], kind: str, known: Collection[str]) -> List[str]:
+    """``names`` as a list, each one in ``known`` and none repeated."""
+    for name in names:
+        if name not in known:
+            raise RequestError(unknown_name_message(kind, name, known))
+    if len(set(names)) != len(names):
+        raise RequestError(f"duplicate {kind} names in {list(names)}")
+    return list(names)
+
+
+def _check(what: str, validate: Callable[[], Any]) -> None:
+    """Run a domain validator, reporting its ValueError as a RequestError."""
+    try:
+        validate()
+    except ValueError as error:
+        raise RequestError(f"{what}: {error}") from None
 
 
 def _grid(value: Any, what: str) -> Tuple[float, ...]:
@@ -91,31 +121,72 @@ def _integer(value: Any, what: str) -> int:
     return value
 
 
+def _leakage(value: Any, what: str) -> float:
+    """A leakage factor in ``(0, 1]``."""
+    p = _number(value, what)
+    _check(what, lambda: TechnologyParameters(leakage_factor_p=p))
+    return p
+
+
+def _alpha(value: Any, what: str) -> float:
+    """An activity factor in ``[0, 1]``."""
+    alpha = _number(value, what)
+    _check(what, lambda: check_alpha(alpha))
+    return alpha
+
+
+def _benchmarks(value: Any) -> List[str]:
+    return _known(_names(value, "benchmarks"), "benchmark", benchmark_names())
+
+
+def _policies(value: Any, default: Sequence[str], known: Collection[str]) -> List[str]:
+    return _known(_names(value, "policies") or tuple(default), "policy", known)
+
+
 @dataclass(frozen=True)
 class ServeRequest:
     """One normalized evaluation request.
 
-    ``params`` is the fully-defaulted, JSON-ready parameter set;
-    ``key`` is the canonical coalescing identity. :meth:`jobs` and
-    :meth:`render` are the two halves of execution: the simulations the
-    request needs (for warm probing and batch folding), and the exact
-    text the equivalent direct CLI invocation would print.
+    ``params`` is the fully-defaulted, JSON-ready parameter set.
+    :meth:`jobs` lists the simulations the request needs (for warm
+    probing and batch folding), :meth:`run` executes it and returns the
+    experiment's result, and :meth:`render` formats that result as the
+    exact text ``repro <kind>`` prints.
     """
 
     kind: str
     quick: bool
     params: Mapping[str, Any] = field(hash=False)
-    key: str
 
     @property
     def scale(self) -> ExperimentScale:
         return QUICK_SCALE if self.quick else DEFAULT_SCALE
 
-    def jobs(self) -> List[SimulationJob]:
-        return _JOB_BUILDERS[self.kind](self.params, self.scale)
+    @cached_property
+    def key(self) -> str:
+        """The canonical coalescing identity (computed once, on demand)."""
+        return canonical_key(
+            {
+                "schema": SERVE_SCHEMA,
+                "kind": self.kind,
+                "quick": self.quick,
+                "params": dict(self.params),
+                "jobs": sorted(job.cache_key() for job in self.jobs()),
+            },
+            versioned=False,
+        )
 
-    def render(self) -> str:
-        return _RENDERERS[self.kind](self.params, self.scale)
+    def jobs(self) -> List[SimulationJob]:
+        return _KINDS[self.kind].jobs(self.params, self.scale)
+
+    def run(self) -> Any:
+        return _KINDS[self.kind].run(self.params, self.scale)
+
+    def render(self, result: Any = None) -> str:
+        """The report text for ``result`` (by default, a fresh :meth:`run`)."""
+        if result is None:
+            result = self.run()
+        return _KINDS[self.kind].render(self.params, result)
 
 
 def job_is_cached(job: SimulationJob) -> bool:
@@ -138,39 +209,31 @@ def job_is_cached(job: SimulationJob) -> bool:
 
 
 def _sweep_params(params: Mapping[str, Any]) -> Dict[str, Any]:
+    p_values = _grid(params.get("p_grid") or sweep.DEFAULT_P_SPEC, "p_grid")
+    alphas = _grid(params.get("alpha_grid") or sweep.DEFAULT_ALPHA_SPEC, "alpha_grid")
     return {
-        "p_values": list(
-            _grid(params.get("p_grid") or sweep.DEFAULT_P_SPEC, "p_grid")
+        "p_values": [_leakage(p, "p_grid") for p in p_values],
+        "alphas": [_alpha(alpha, "alpha_grid") for alpha in alphas],
+        "policies": _policies(
+            params.get("policies"), sweep.DEFAULT_POLICIES, sweep.POLICY_FACTORIES
         ),
-        "alphas": list(
-            _grid(params.get("alpha_grid") or sweep.DEFAULT_ALPHA_SPEC, "alpha_grid")
-        ),
-        "policies": list(
-            _names(params.get("policies"), "policies") or sweep.DEFAULT_POLICIES
-        ),
-        "benchmarks": list(_names(params.get("benchmarks"), "benchmarks")),
+        "benchmarks": _benchmarks(params.get("benchmarks")),
     }
-
-
-def _sweep_grid(params: Mapping[str, Any]) -> sweep.SweepGrid:
-    return sweep.SweepGrid(
-        p_values=tuple(params["p_values"]),
-        alphas=tuple(params["alphas"]),
-        policies=tuple(params["policies"]),
-    )
 
 
 def _sweep_jobs(params: Mapping[str, Any], scale: ExperimentScale):
     return sweep.sweep_jobs(scale=scale, benchmarks=params["benchmarks"] or None)
 
 
-def _sweep_render(params: Mapping[str, Any], scale: ExperimentScale) -> str:
-    return sweep.render(
-        sweep.run(
-            scale=scale,
-            grid=_sweep_grid(params),
-            benchmarks=tuple(params["benchmarks"]),
-        )
+def _sweep_run(params: Mapping[str, Any], scale: ExperimentScale):
+    return sweep.run(
+        scale=scale,
+        grid=sweep.SweepGrid(
+            p_values=tuple(params["p_values"]),
+            alphas=tuple(params["alphas"]),
+            policies=tuple(params["policies"]),
+        ),
+        benchmarks=tuple(params["benchmarks"]),
     )
 
 
@@ -179,41 +242,46 @@ def _sweep_render(params: Mapping[str, Any], scale: ExperimentScale) -> str:
 
 def _wakeup_latencies(value: Any) -> List[int]:
     if value is None:
-        return list(perf_impact.DEFAULT_WAKEUP_LATENCIES)
-    if isinstance(value, str):
+        latencies = list(perf_impact.DEFAULT_WAKEUP_LATENCIES)
+    elif isinstance(value, str):
         try:
-            return [int(token) for token in _names(value, "wakeup_latencies")]
+            latencies = [int(token) for token in _names(value, "wakeup_latencies")]
         except ValueError:
             raise RequestError(
                 f"wakeup_latencies must be integers, got {value!r}"
             ) from None
-    if isinstance(value, (list, tuple)):
-        return [_integer(latency, "wakeup_latencies") for latency in value]
-    raise RequestError(
-        f"wakeup_latencies must be a comma string or list, got {value!r}"
-    )
+    elif isinstance(value, (list, tuple)):
+        latencies = [_integer(latency, "wakeup_latencies") for latency in value]
+    else:
+        raise RequestError(
+            f"wakeup_latencies must be a comma string or list, got {value!r}"
+        )
+    if not latencies:
+        raise RequestError(f"wakeup_latencies names no latency: {value!r}")
+    negative = [latency for latency in latencies if latency < 0]
+    if negative:
+        raise RequestError(f"wakeup_latencies must be >= 0, got {negative}")
+    return latencies
 
 
 def _perf_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     p_grid = params.get("p_grid")
     return {
-        "p_values": list(
-            _grid(p_grid, "p_grid") if p_grid else perf_impact.DEFAULT_P_VALUES
+        "p_values": [
+            _leakage(p, "p_grid")
+            for p in (_grid(p_grid, "p_grid") if p_grid else perf_impact.DEFAULT_P_VALUES)
+        ],
+        "policies": _policies(
+            params.get("policies"), perf_impact.DEFAULT_PERF_POLICIES, POLICY_BUILDERS
         ),
-        "policies": list(
-            _names(params.get("policies"), "policies")
-            or perf_impact.DEFAULT_PERF_POLICIES
-        ),
-        "alpha": _number(
-            params.get("alpha", perf_impact.DEFAULT_ALPHA), "alpha"
-        ),
+        "alpha": _alpha(params.get("alpha", perf_impact.DEFAULT_ALPHA), "alpha"),
         "wakeup_latencies": _wakeup_latencies(params.get("wakeup_latencies")),
-        "benchmarks": list(_names(params.get("benchmarks"), "benchmarks")),
+        "benchmarks": _benchmarks(params.get("benchmarks")),
     }
 
 
-def _perf_jobs(params: Mapping[str, Any], scale: ExperimentScale):
-    return perf_impact.perf_jobs(
+def _perf_arguments(params: Mapping[str, Any], scale: ExperimentScale):
+    return dict(
         scale=scale,
         policies=tuple(params["policies"]),
         p_values=tuple(params["p_values"]),
@@ -223,84 +291,73 @@ def _perf_jobs(params: Mapping[str, Any], scale: ExperimentScale):
     )
 
 
-def _perf_render(params: Mapping[str, Any], scale: ExperimentScale) -> str:
-    return perf_impact.render(
-        perf_impact.run(
-            scale=scale,
-            policies=tuple(params["policies"]),
-            p_values=tuple(params["p_values"]),
-            alpha=params["alpha"],
-            wakeup_latencies=tuple(params["wakeup_latencies"]),
-            benchmarks=tuple(params["benchmarks"]) or None,
-        )
-    )
-
-
 # --- robustness ----------------------------------------------------------
 
 
 def _robustness_params(params: Mapping[str, Any]) -> Dict[str, Any]:
+    scenarios = _integer(
+        params.get("scenarios", robustness.DEFAULT_SCENARIO_COUNT), "scenarios"
+    )
+    if scenarios < 1:
+        raise RequestError(f"scenarios must be >= 1, got {scenarios}")
     instructions = params.get("instructions")
+    if instructions is not None:
+        instructions = _integer(instructions, "instructions")
+        _check(
+            "instructions",
+            lambda: ExperimentScale(window_instructions=instructions),
+        )
     return {
-        "scenarios": _integer(
-            params.get("scenarios", robustness.DEFAULT_SCENARIO_COUNT), "scenarios"
-        ),
+        "scenarios": scenarios,
         "scenario_seed": _integer(
             params.get("scenario_seed", robustness.DEFAULT_SCENARIO_SEED),
             "scenario_seed",
         ),
-        "families": list(_names(params.get("families"), "families")),
-        "policies": list(
-            _names(params.get("policies"), "policies")
-            or robustness.DEFAULT_ROBUSTNESS_POLICIES
+        "families": _known(
+            _names(params.get("families"), "families"),
+            "scenario family",
+            family_names() + [PHASED_FAMILY],
         ),
-        "p": _number(params.get("p", robustness.DEFAULT_P), "p"),
-        "alpha": _number(
+        "policies": _policies(
+            params.get("policies"),
+            robustness.DEFAULT_ROBUSTNESS_POLICIES,
+            sweep.POLICY_FACTORIES,
+        ),
+        "p": _leakage(params.get("p", robustness.DEFAULT_P), "p"),
+        "alpha": _alpha(
             params.get("alpha", robustness.DEFAULT_ROBUSTNESS_ALPHA), "alpha"
         ),
-        "instructions": (
-            None if instructions is None else _integer(instructions, "instructions")
-        ),
+        "instructions": instructions,
     }
-
-
-def _robustness_scale(
-    params: Mapping[str, Any], scale: ExperimentScale
-) -> ExperimentScale:
-    if params["instructions"] is None:
-        return scale
-    return ExperimentScale(
-        window_instructions=params["instructions"],
-        warmup_instructions=scale.warmup_instructions,
-        seed=scale.seed,
-    )
 
 
 def _robustness_jobs(params: Mapping[str, Any], scale: ExperimentScale):
     from repro.scenarios.space import sample_scenarios
 
+    if params["instructions"] is not None:
+        scale = ExperimentScale(
+            window_instructions=params["instructions"],
+            warmup_instructions=scale.warmup_instructions,
+            seed=scale.seed,
+        )
     scenarios = sample_scenarios(
         params["scenarios"],
         seed=params["scenario_seed"],
         families=tuple(params["families"]) or None,
     )
-    return robustness.robustness_jobs(
-        scenarios, scale=_robustness_scale(params, scale)
-    )
+    return robustness.robustness_jobs(scenarios, scale=scale)
 
 
-def _robustness_render(params: Mapping[str, Any], scale: ExperimentScale) -> str:
-    return robustness.render(
-        robustness.run(
-            scale=scale,
-            count=params["scenarios"],
-            seed=params["scenario_seed"],
-            families=tuple(params["families"]) or None,
-            policies=tuple(params["policies"]),
-            p=params["p"],
-            alpha=params["alpha"],
-            instructions=params["instructions"],
-        )
+def _robustness_run(params: Mapping[str, Any], scale: ExperimentScale):
+    return robustness.run(
+        scale=scale,
+        count=params["scenarios"],
+        seed=params["scenario_seed"],
+        families=tuple(params["families"]) or None,
+        policies=tuple(params["policies"]),
+        p=params["p"],
+        alpha=params["alpha"],
+        instructions=params["instructions"],
     )
 
 
@@ -321,12 +378,15 @@ def _simulate_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     if warmup < 0:
         raise RequestError(f"warmup must be >= 0, got {warmup}")
     fus = params.get("fus")
+    if fus is not None:
+        fus = _integer(fus, "fus")
+        _check("fus", lambda: MachineConfig().with_int_fus(fus))
     return {
         "benchmark": name,
         "instructions": instructions,
         "warmup": warmup,
         "seed": _integer(params.get("seed", 1), "seed"),
-        "fus": None if fus is None else _integer(fus, "fus"),
+        "fus": fus,
     }
 
 
@@ -344,14 +404,13 @@ def _simulate_job(params: Mapping[str, Any]) -> SimulationJob:
     )
 
 
-def _simulate_jobs(params: Mapping[str, Any], scale: ExperimentScale):
-    return [_simulate_job(params)]
-
-
-def _simulate_render(params: Mapping[str, Any], scale: ExperimentScale) -> str:
+def _simulate_run(params: Mapping[str, Any], scale: ExperimentScale):
     from repro.exec.engine import run_jobs
 
-    result = run_jobs([_simulate_job(params)])[0]
+    return run_jobs([_simulate_job(params)])[0]
+
+
+def _simulate_render(params: Mapping[str, Any], result) -> str:
     stats = result.stats
     return (
         f"simulate {params['benchmark']}: "
@@ -360,23 +419,42 @@ def _simulate_render(params: Mapping[str, Any], scale: ExperimentScale) -> str:
     )
 
 
-_NORMALIZERS = {
-    "sweep": _sweep_params,
-    "perf": _perf_params,
-    "robustness": _robustness_params,
-    "simulate": _simulate_params,
-}
-_JOB_BUILDERS = {
-    "sweep": _sweep_jobs,
-    "perf": _perf_jobs,
-    "robustness": _robustness_jobs,
-    "simulate": _simulate_jobs,
-}
-_RENDERERS = {
-    "sweep": _sweep_render,
-    "perf": _perf_render,
-    "robustness": _robustness_render,
-    "simulate": _simulate_render,
+class _Kind(NamedTuple):
+    """One request kind: normalize params, list jobs, run, render."""
+
+    normalize: Callable[[Mapping[str, Any]], Dict[str, Any]]
+    jobs: Callable[[Mapping[str, Any], ExperimentScale], List[SimulationJob]]
+    run: Callable[[Mapping[str, Any], ExperimentScale], Any]
+    render: Callable[[Mapping[str, Any], Any], str]
+
+
+# The experiment modules' run/render are looked up at call time, so
+# rebinding those module attributes (as profiling wrappers do) applies.
+_KINDS: Dict[str, _Kind] = {
+    "sweep": _Kind(
+        _sweep_params,
+        _sweep_jobs,
+        _sweep_run,
+        lambda params, result: sweep.render(result),
+    ),
+    "perf": _Kind(
+        _perf_params,
+        lambda params, scale: perf_impact.perf_jobs(**_perf_arguments(params, scale)),
+        lambda params, scale: perf_impact.run(**_perf_arguments(params, scale)),
+        lambda params, result: perf_impact.render(result),
+    ),
+    "robustness": _Kind(
+        _robustness_params,
+        _robustness_jobs,
+        _robustness_run,
+        lambda params, result: robustness.render(result),
+    ),
+    "simulate": _Kind(
+        _simulate_params,
+        lambda params, scale: [_simulate_job(params)],
+        _simulate_run,
+        _simulate_render,
+    ),
 }
 
 
@@ -384,8 +462,8 @@ def build_request(payload: Any) -> ServeRequest:
     """Validate and normalize a JSON payload into a :class:`ServeRequest`.
 
     Raises :class:`RequestError` for anything malformed — unknown kind,
-    wrong types, unparseable grids, unknown benchmark — so the service
-    can answer 400 before any work is scheduled.
+    wrong types, unparseable grids, unknown benchmark, policy or family
+    names, out-of-range values — so no work is scheduled for it.
     """
     if not isinstance(payload, Mapping):
         raise RequestError(f"request body must be a JSON object, got {payload!r}")
@@ -398,33 +476,18 @@ def build_request(payload: Any) -> ServeRequest:
     raw = payload.get("params") or {}
     if not isinstance(raw, Mapping):
         raise RequestError(f"'params' must be a JSON object, got {raw!r}")
-    params = _NORMALIZERS[kind](raw)
-    request = ServeRequest(kind=kind, quick=quick, params=params, key="")
-    # The key folds the normalized parameters AND every needed
-    # simulation's cache key (already model-fingerprint-versioned): two
-    # requests share a key exactly when they share cache entries and
-    # render identically.
-    key = canonical_key(
-        {
-            "schema": SERVE_SCHEMA,
-            "kind": kind,
-            "quick": quick,
-            "params": dict(params),
-            "jobs": sorted(job.cache_key() for job in request.jobs()),
-        },
-        versioned=False,
-    )
-    return ServeRequest(kind=kind, quick=quick, params=params, key=key)
+    return ServeRequest(kind=kind, quick=quick, params=_KINDS[kind].normalize(raw))
 
 
 def payload_from_args(kind: str, args: Any) -> Dict[str, Any]:
-    """Build a serve payload from parsed ``repro`` CLI arguments.
+    """Build a request payload from parsed ``repro`` CLI arguments.
 
-    The thin-client half of ``--server``: ships the *raw* CLI values
-    (grid spec strings, comma lists, None for defaulted flags) so the
-    server's normalization — the same code the local path uses — decides
-    every default. That is what keeps remote output byte-identical to a
-    local run of the same argv.
+    Ships the *raw* CLI values (grid spec strings, comma lists, None for
+    defaulted flags) and leaves every default and check to
+    :func:`build_request`. ``repro sweep|perf|robustness`` runs the
+    resulting request in-process, and ``--server URL`` sends the same
+    payload to a ``repro serve`` instance, so the two print the same
+    bytes for the same argv.
     """
     if kind == "sweep":
         params: Dict[str, Any] = {
@@ -452,7 +515,7 @@ def payload_from_args(kind: str, args: Any) -> Dict[str, Any]:
             "instructions": args.instructions,
         }
     else:
-        raise RequestError(f"--server does not support the {kind!r} subcommand")
+        raise RequestError(f"no request kind for the {kind!r} subcommand")
     return {
         "kind": kind,
         "quick": bool(getattr(args, "quick", False)),

@@ -39,6 +39,7 @@ import asyncio
 import json
 import sys
 import time
+import traceback
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.exec.engine import BatchReport, run_jobs
@@ -328,6 +329,7 @@ class EvaluationService:
             404: "Not Found",
             405: "Method Not Allowed",
             413: "Content Too Large",
+            500: "Internal Server Error",
         }
         writer.write(
             (
@@ -351,10 +353,19 @@ class EvaluationService:
             await self._respond_json(writer, 400, {"error": "body is not valid JSON"})
             return
         try:
-            request = await asyncio.to_thread(build_request, payload)
-        except RequestError as error:
+            request = await asyncio.to_thread(_keyed_request, payload)
+        except Exception as error:  # noqa: BLE001 - answered with a status
+            # A RequestError is the client's fault; anything else escaped
+            # normalization and is ours. Either way the client gets a
+            # status, never a dropped connection.
             registry.counter("serve.errors").inc()
-            await self._respond_json(writer, 400, {"error": str(error)})
+            if isinstance(error, RequestError):
+                await self._respond_json(writer, 400, {"error": str(error)})
+            else:
+                traceback.print_exception(error, file=sys.stderr)
+                await self._respond_json(
+                    writer, 500, {"error": f"{type(error).__name__}: {error}"}
+                )
             return
 
         writer.write(
@@ -398,6 +409,13 @@ class EvaluationService:
             await writer.drain()
         except (ConnectionError, OSError):  # pragma: no cover
             pass
+
+
+def _keyed_request(payload: Any) -> ServeRequest:
+    """Build the request and its coalescing key, off the event loop."""
+    request = build_request(payload)
+    request.key  # cached on the request; hashing every job key is not free
+    return request
 
 
 def run_service(

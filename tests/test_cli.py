@@ -145,6 +145,22 @@ class TestPerfSubcommand:
         assert "MaxSleep" in out and "GradualSleep" in out
         assert "wakeup latency 4 cycles" in out
 
+    def test_invalid_request_exits_2_without_traceback(
+        self, capsys, restore_engine_state
+    ):
+        """Bad parameters are rejected by the request normalizer before
+        any work runs: exit 2, its message on stderr, no traceback."""
+        code = cli.main(
+            ["perf", "--quick", "--benchmarks", "gzip", "--wakeup-latencies", "1,x"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "repro perf: wakeup_latencies must be integers, got '1,x'\n"
+        )
+        assert "Traceback" not in captured.err
+
 
 class TestRobustnessSubcommand:
     def test_robustness_flags_parse(self):

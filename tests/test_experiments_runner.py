@@ -27,13 +27,11 @@ class TestRunner:
         without minutes of simulation."""
         from repro.experiments import runner
 
-        def fake_experiments(scale):
-            return [
-                ("Table 1", lambda: "TABLE1-BODY"),
-                ("Figure 3", lambda: "FIGURE3-BODY"),
-            ]
-
-        monkeypatch.setattr(runner, "_experiments", fake_experiments)
+        fake_experiments = (
+            ("table1", "Table 1", lambda scale: "TABLE1-BODY"),
+            ("figure3", "Figure 3", lambda scale: "FIGURE3-BODY"),
+        )
+        monkeypatch.setattr(runner, "EXPERIMENTS", fake_experiments)
         stream = io.StringIO()
         runner.run_all(QUICK_SCALE, stream=stream)
         output = stream.getvalue()
@@ -43,12 +41,30 @@ class TestRunner:
     def test_experiment_list_covers_the_paper(self):
         from repro.experiments import runner
 
-        names = [name for name, _ in runner._experiments(QUICK_SCALE)]
-        for expected in (
+        titles = [title for _, title, _ in runner.EXPERIMENTS]
+        assert titles == [
             "Table 1", "Figure 3", "Figure 4", "Figure 5",
             "Table 3", "Figure 7", "Figure 8", "Figure 9", "Ablations",
-        ):
-            assert expected in names
+        ]
+
+    def test_registry_names_are_the_cli_subcommands(self):
+        from repro import cli
+        from repro.experiments import runner
+
+        names = [name for name, _, _ in runner.EXPERIMENTS]
+        assert len(set(names)) == len(names)
+        parser = cli.build_parser()
+        for name in names:
+            assert parser.parse_args([name]).experiment == name
+
+    def test_registry_reads_module_attributes_at_call_time(self, monkeypatch):
+        """Rebinding an experiment module's render (as profiling wrappers
+        do) reaches the registry entry without rebuilding it."""
+        from repro.experiments import runner, table1
+
+        monkeypatch.setattr(table1, "render", lambda result: "REBOUND")
+        render = {name: fn for name, _, fn in runner.EXPERIMENTS}["table1"]
+        assert render(QUICK_SCALE) == "REBOUND"
 
 
 class TestJobEnumeration:

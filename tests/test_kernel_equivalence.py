@@ -46,7 +46,6 @@ from repro.cpu.sleep import SleepRuntimeSpec
 from repro.cpu.stream import TraceChunk
 from repro.cpu.trace import TraceInstruction
 from repro.cpu.workloads import benchmark_names, generate_trace, get_benchmark
-from repro.exec.engine import _stamp_defaults
 from repro.exec.jobs import SimulationJob
 from repro.scenarios import sample_scenarios
 
@@ -290,11 +289,11 @@ class TestKernelKnob:
 
     def test_engine_stamps_default_kernel_into_jobs(self):
         job = SimulationJob(profile=get_benchmark("gzip"), num_instructions=1_000)
-        assert _stamp_defaults(job) is job
+        assert job.with_stamped_defaults() is job
         set_default_kernel("batch")
-        assert _stamp_defaults(job).kernel == KERNEL_BATCH
+        assert job.with_stamped_defaults().kernel == KERNEL_BATCH
         explicit = dataclasses.replace(job, kernel=KERNEL_WALK)
-        assert _stamp_defaults(explicit).kernel == KERNEL_WALK
+        assert explicit.with_stamped_defaults().kernel == KERNEL_WALK
 
     def test_simulator_default_follows_process_default(self):
         profile = get_benchmark("vortex")

@@ -55,6 +55,22 @@ def _simulate(benchmark="gzip", instructions=1500, **extra):
     return {"kind": "simulate", "params": params}
 
 
+def _post_run(url, payload):
+    """POST ``payload`` to ``/v1/run``; return (status, JSON body)."""
+    import http.client
+    import json
+    import urllib.parse
+
+    parsed = urllib.parse.urlsplit(url)
+    connection = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=30)
+    try:
+        connection.request("POST", "/v1/run", body=json.dumps(payload).encode())
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 def _run_cli(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -85,6 +101,35 @@ class TestSchema:
         defaulted = build_request({"kind": "sweep", "params": {}})
         assert csv.key == listed.key
         assert csv.key != defaulted.key
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"kind": "sweep", "params": {"alpha_grid": "0.5,1.5"}}, "alpha_grid"),
+            ({"kind": "sweep", "params": {"p_grid": [0.0]}}, "p_grid"),
+            ({"kind": "sweep", "params": {"policies": "MaxSleep,MaxSleep"}}, "duplicate"),
+            ({"kind": "perf", "params": {"wakeup_latencies": ","}}, "no latency"),
+            ({"kind": "perf", "params": {"alpha": -0.1}}, "alpha"),
+            ({"kind": "perf", "params": {"benchmarks": ["gzip", "gzip"]}}, "duplicate"),
+            ({"kind": "robustness", "params": {"instructions": 999}}, "1000"),
+            ({"kind": "robustness", "params": {"p": 2}}, "leakage factor"),
+            ({"kind": "robustness", "params": {"policies": "PredictiveSleep"}}, "policy"),
+            (_simulate(fus=9), "fus"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, payload, message):
+        with pytest.raises(RequestError, match=message):
+            build_request(payload)
+
+    def test_key_is_computed_on_demand(self):
+        """Building a request never hashes its jobs; the key is computed
+        once, on first access, and then cached."""
+        request = build_request({"kind": "sweep", "quick": True})
+        assert "key" not in vars(request)
+        key = request.key
+        assert vars(request)["key"] == key == build_request(
+            {"kind": "sweep", "quick": True}
+        ).key
 
     def test_key_distinguishes_scale_and_params(self):
         quick = build_request({"kind": "sweep", "quick": True})
@@ -192,9 +237,54 @@ class TestServiceLifecycle:
         delta = obs_metrics.registry().delta_since(before)
         assert delta["counters"]["serve.errors"] == 1.0
 
-    def test_malformed_payload_is_400(self, serve_url):
-        with pytest.raises(serve_client.ServeClientError, match="unknown kind"):
-            serve_client.run_remote(serve_url, {"kind": "mystery"})
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"kind": "mystery"}, "unknown kind"),
+            ({"kind": "sweep", "params": {"benchmarks": "nope"}}, "unknown benchmark"),
+            ({"kind": "sweep", "params": {"policies": "Bogus"}}, "unknown policy"),
+            ({"kind": "perf", "params": {"policies": "Bogus"}}, "unknown policy"),
+            ({"kind": "perf", "params": {"wakeup_latencies": [-1]}}, ">= 0"),
+            ({"kind": "robustness", "params": {"families": "nope"}}, "scenario family"),
+            ({"kind": "robustness", "params": {"scenarios": -3}}, "scenarios"),
+            (_simulate(fus=0), "fus"),
+        ],
+        ids=[
+            "unknown-kind",
+            "sweep-benchmark",
+            "sweep-policy",
+            "perf-policy",
+            "perf-negative-latency",
+            "robustness-family",
+            "robustness-scenarios",
+            "simulate-fus",
+        ],
+    )
+    def test_malformed_payload_is_400(self, serve_url, payload, message):
+        """Every well-typed but invalid payload is refused with a 400
+        before any work runs, and counted as a serve error."""
+        before = obs_metrics.registry().snapshot()
+        status, document = _post_run(serve_url, payload)
+        assert status == 400
+        assert message in document["error"]
+        delta = obs_metrics.registry().delta_since(before)
+        assert delta["counters"]["serve.errors"] == 1.0
+
+    def test_unexpected_build_failure_is_500(self, serve_url, monkeypatch):
+        """A request-building failure that is not a RequestError still
+        gets a status and is counted, never a dropped connection."""
+        from repro.serve import service
+
+        def broken(payload):
+            raise RuntimeError("normalizer bug")
+
+        monkeypatch.setattr(service, "build_request", broken)
+        before = obs_metrics.registry().snapshot()
+        status, document = _post_run(serve_url, _simulate())
+        assert status == 500
+        assert "normalizer bug" in document["error"]
+        delta = obs_metrics.registry().delta_since(before)
+        assert delta["counters"]["serve.errors"] == 1.0
 
     def test_unreachable_server_raises(self):
         with pytest.raises(serve_client.ServeClientError, match="cannot reach"):
@@ -286,14 +376,22 @@ class TestExecutionSemantics:
 
 
 class TestThinClientCli:
-    def test_sweep_output_byte_identical(self, serve_url, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--quick"],
+            ["perf", "--quick", "--benchmarks", "gzip"],
+            ["perf", "--quick", "--benchmarks", "gzip", "--wakeup-latencies", ""],
+            ["robustness", "--quick", "--scenarios", "3"],
+        ],
+        ids=["sweep", "perf", "perf-empty-latencies", "robustness"],
+    )
+    def test_local_and_remote_output_byte_identical(self, serve_url, tmp_path, argv):
         cache_dir = str(tmp_path / "cli-cache")
         code_remote, remote = _run_cli(
-            ["sweep", "--quick", "--server", serve_url, "--cache-dir", cache_dir]
+            argv + ["--server", serve_url, "--cache-dir", cache_dir]
         )
-        code_local, local = _run_cli(
-            ["sweep", "--quick", "--cache-dir", cache_dir]
-        )
+        code_local, local = _run_cli(argv + ["--cache-dir", cache_dir])
         assert code_remote == code_local == 0
         assert remote == local
 

@@ -33,7 +33,6 @@ from repro.cpu.stream import (
 )
 from repro.cpu.trace import trace_digest
 from repro.cpu.workloads import benchmark_names, generate_trace, get_benchmark, iter_trace
-from repro.exec.engine import _stamp_defaults
 from repro.exec.jobs import SimulationJob
 from repro.scenarios import sample_scenarios
 
@@ -289,19 +288,19 @@ class TestModeResolution:
 
     def test_engine_stamps_default_into_jobs(self):
         job = SimulationJob(profile=get_benchmark("gzip"), num_instructions=1_000)
-        assert _stamp_defaults(job) is job  # auto resolves anywhere
+        assert job.with_stamped_defaults() is job  # auto resolves anywhere
         stream.set_default_streaming(True, chunk_size=8_192)
-        stamped = _stamp_defaults(job)
+        stamped = job.with_stamped_defaults()
         assert stamped.streaming is True
         assert stamped.chunk_size == 8_192
         explicit = dataclasses.replace(job, streaming=False)
-        assert _stamp_defaults(explicit).streaming is False
+        assert explicit.with_stamped_defaults().streaming is False
 
     def test_engine_stamps_chunk_size_even_under_auto_mode(self):
         """A user --chunk-size must reach auto-streamed worker jobs."""
         job = SimulationJob(profile=get_benchmark("gzip"), num_instructions=1_000)
         stream.set_default_streaming(None, chunk_size=1_024)
-        stamped = _stamp_defaults(job)
+        stamped = job.with_stamped_defaults()
         assert stamped.streaming is None  # mode stays auto
         assert stamped.chunk_size == 1_024
 
