@@ -94,6 +94,9 @@ _RENDERERS = {name: render for name, _title, render in runner.EXPERIMENTS}
 #: Subcommands that run one schema request, locally or on ``--server``.
 SERVABLE = ("sweep", "perf", "robustness")
 
+#: The experiment subcommands, in ``repro list`` order.
+_SUBCOMMANDS = sorted(_RENDERERS) + sorted(SERVABLE)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -111,8 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_RENDERERS)
-        + ["perf", "robustness", "sweep", "all", "cache", "report", "serve", "list"],
+        choices=_SUBCOMMANDS + ["all", "cache", "report", "serve", "list"],
         help="experiment to run, 'sweep' for a policy-grid sweep, 'perf' "
         "for the closed-loop energy-vs-slowdown study, 'robustness' for "
         "the sampled-scenario policy-robustness study, 'all' for "
@@ -471,7 +473,7 @@ def _main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate_action(args, parser)
     if args.experiment == "list":
-        for name in sorted(_RENDERERS) + ["perf", "robustness", "sweep"]:
+        for name in _SUBCOMMANDS:
             print(name)
         return 0
     if args.experiment == "report":

@@ -150,6 +150,21 @@ def robustness_jobs(
     ]
 
 
+def check_policies(policies: Sequence[str]) -> List[str]:
+    """``policies`` as a list: at least one, all known, none repeated."""
+    names = list(policies)
+    if not names:
+        raise ValueError("robustness needs at least one policy")
+    for name in names:
+        if name not in POLICY_FACTORIES:
+            raise ValueError(
+                unknown_name_message("policy", name, POLICY_FACTORIES)
+            )
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate policy names in {names}")
+    return names
+
+
 def run(
     scale: ExperimentScale = DEFAULT_SCALE,
     count: int = DEFAULT_SCENARIO_COUNT,
@@ -182,17 +197,7 @@ def run(
             warmup_instructions=scale.warmup_instructions,
             seed=scale.seed,
         )
-    names = list(policies)
-    if not names:
-        raise ValueError("robustness needs at least one policy")
-    for name in names:
-        if name not in POLICY_FACTORIES:
-            raise ValueError(
-                unknown_name_message("policy", name, POLICY_FACTORIES)
-            )
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate policy names in {names}")
-
+    names = check_policies(policies)
     scenarios = sample_scenarios(count, seed=seed, families=families)
     batch = robustness_jobs(scenarios, scale=scale)
     results = run_jobs(batch, workers=jobs)

@@ -49,8 +49,7 @@ from repro.exec.hashing import canonical_key
 from repro.exec.jobs import SimulationJob
 from repro.experiments import perf_impact, robustness, sweep
 from repro.experiments.common import DEFAULT_SCALE, QUICK_SCALE, ExperimentScale
-from repro.scenarios.families import family_names
-from repro.scenarios.space import PHASED_FAMILY
+from repro.scenarios.space import ScenarioSpace
 from repro.util.lookup import unknown_name_message
 
 #: Schema tag stamped into every canonical request key and health reply.
@@ -77,7 +76,11 @@ def _names(value: Any, what: str) -> Tuple[str, ...]:
 
 
 def _known(names: Sequence[str], kind: str, known: Collection[str]) -> List[str]:
-    """``names`` as a list, each one in ``known`` and none repeated."""
+    """``names`` as a list, each one in ``known`` and none repeated.
+
+    Only for the name lists no domain object validates (benchmarks and
+    closed-loop policies); the others go through their own validators.
+    """
     for name in names:
         if name not in known:
             raise RequestError(unknown_name_message(kind, name, known))
@@ -139,8 +142,8 @@ def _benchmarks(value: Any) -> List[str]:
     return _known(_names(value, "benchmarks"), "benchmark", benchmark_names())
 
 
-def _policies(value: Any, default: Sequence[str], known: Collection[str]) -> List[str]:
-    return _known(_names(value, "policies") or tuple(default), "policy", known)
+def _policies(value: Any, default: Sequence[str]) -> Tuple[str, ...]:
+    return _names(value, "policies") or tuple(default)
 
 
 @dataclass(frozen=True)
@@ -209,14 +212,16 @@ def job_is_cached(job: SimulationJob) -> bool:
 
 
 def _sweep_params(params: Mapping[str, Any]) -> Dict[str, Any]:
-    p_values = _grid(params.get("p_grid") or sweep.DEFAULT_P_SPEC, "p_grid")
-    alphas = _grid(params.get("alpha_grid") or sweep.DEFAULT_ALPHA_SPEC, "alpha_grid")
+    p_grid = _grid(params.get("p_grid") or sweep.DEFAULT_P_SPEC, "p_grid")
+    alpha_grid = _grid(params.get("alpha_grid") or sweep.DEFAULT_ALPHA_SPEC, "alpha_grid")
+    p_values = tuple(_leakage(p, "p_grid") for p in p_grid)
+    alphas = tuple(_alpha(alpha, "alpha_grid") for alpha in alpha_grid)
+    policies = _policies(params.get("policies"), sweep.DEFAULT_POLICIES)
+    _check("policies", lambda: sweep.SweepGrid(p_values, alphas, policies))
     return {
-        "p_values": [_leakage(p, "p_grid") for p in p_values],
-        "alphas": [_alpha(alpha, "alpha_grid") for alpha in alphas],
-        "policies": _policies(
-            params.get("policies"), sweep.DEFAULT_POLICIES, sweep.POLICY_FACTORIES
-        ),
+        "p_values": list(p_values),
+        "alphas": list(alphas),
+        "policies": list(policies),
         "benchmarks": _benchmarks(params.get("benchmarks")),
     }
 
@@ -271,8 +276,10 @@ def _perf_params(params: Mapping[str, Any]) -> Dict[str, Any]:
             _leakage(p, "p_grid")
             for p in (_grid(p_grid, "p_grid") if p_grid else perf_impact.DEFAULT_P_VALUES)
         ],
-        "policies": _policies(
-            params.get("policies"), perf_impact.DEFAULT_PERF_POLICIES, POLICY_BUILDERS
+        "policies": _known(
+            _policies(params.get("policies"), perf_impact.DEFAULT_PERF_POLICIES),
+            "policy",
+            POLICY_BUILDERS,
         ),
         "alpha": _alpha(params.get("alpha", perf_impact.DEFAULT_ALPHA), "alpha"),
         "wakeup_latencies": _wakeup_latencies(params.get("wakeup_latencies")),
@@ -307,22 +314,21 @@ def _robustness_params(params: Mapping[str, Any]) -> Dict[str, Any]:
             "instructions",
             lambda: ExperimentScale(window_instructions=instructions),
         )
+    families = _names(params.get("families"), "families")
+    if families:
+        _check("families", lambda: ScenarioSpace(families))
+    policies = _policies(
+        params.get("policies"), robustness.DEFAULT_ROBUSTNESS_POLICIES
+    )
+    _check("policies", lambda: robustness.check_policies(policies))
     return {
         "scenarios": scenarios,
         "scenario_seed": _integer(
             params.get("scenario_seed", robustness.DEFAULT_SCENARIO_SEED),
             "scenario_seed",
         ),
-        "families": _known(
-            _names(params.get("families"), "families"),
-            "scenario family",
-            family_names() + [PHASED_FAMILY],
-        ),
-        "policies": _policies(
-            params.get("policies"),
-            robustness.DEFAULT_ROBUSTNESS_POLICIES,
-            sweep.POLICY_FACTORIES,
-        ),
+        "families": list(families),
+        "policies": list(policies),
         "p": _leakage(params.get("p", robustness.DEFAULT_P), "p"),
         "alpha": _alpha(
             params.get("alpha", robustness.DEFAULT_ROBUSTNESS_ALPHA), "alpha"

@@ -112,6 +112,10 @@ class TestSchema:
             ({"kind": "perf", "params": {"alpha": -0.1}}, "alpha"),
             ({"kind": "perf", "params": {"benchmarks": ["gzip", "gzip"]}}, "duplicate"),
             ({"kind": "robustness", "params": {"instructions": 999}}, "1000"),
+            (
+                {"kind": "robustness", "params": {"families": "fp_dense,fp_dense"}},
+                "duplicate",
+            ),
             ({"kind": "robustness", "params": {"p": 2}}, "leakage factor"),
             ({"kind": "robustness", "params": {"policies": "PredictiveSleep"}}, "policy"),
             (_simulate(fus=9), "fus"),
@@ -242,7 +246,7 @@ class TestServiceLifecycle:
         [
             ({"kind": "mystery"}, "unknown kind"),
             ({"kind": "sweep", "params": {"benchmarks": "nope"}}, "unknown benchmark"),
-            ({"kind": "sweep", "params": {"policies": "Bogus"}}, "unknown policy"),
+            ({"kind": "sweep", "params": {"policies": "Bogus"}}, "unknown policies"),
             ({"kind": "perf", "params": {"policies": "Bogus"}}, "unknown policy"),
             ({"kind": "perf", "params": {"wakeup_latencies": [-1]}}, ">= 0"),
             ({"kind": "robustness", "params": {"families": "nope"}}, "scenario family"),
@@ -269,6 +273,12 @@ class TestServiceLifecycle:
         assert message in document["error"]
         delta = obs_metrics.registry().delta_since(before)
         assert delta["counters"]["serve.errors"] == 1.0
+
+    def test_client_surfaces_rejection(self, serve_url):
+        """The client turns the server's 400 into a ServeClientError
+        that carries the server's message."""
+        with pytest.raises(serve_client.ServeClientError, match="unknown kind"):
+            serve_client.run_remote(serve_url, {"kind": "mystery"})
 
     def test_unexpected_build_failure_is_500(self, serve_url, monkeypatch):
         """A request-building failure that is not a RequestError still
@@ -410,6 +420,14 @@ class TestThinClientCli:
                     "out.json",
                 ]
             )
+
+    def test_rejected_request_exits_2(self, serve_url, capsys):
+        """A parameter the server refuses exits 2 with its message."""
+        argv = ["sweep", "--quick", "--benchmarks", "nope", "--server", serve_url]
+        code, out = _run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "unknown benchmark 'nope'" in capsys.readouterr().err
 
     def test_unreachable_server_fails_cleanly(self, capsys):
         code = _run_cli(["sweep", "--quick", "--server", "http://127.0.0.1:9"])[0]
